@@ -16,7 +16,7 @@ onto the retained modes is exact (plain 3/2 padding is not enough for
 the cubic terms; see notes).
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -44,24 +44,11 @@ class ModeOperator:
     matrix: sp.csr_matrix
 
     @property
-    def field_exponent(self) -> float:
-        """Tip decay rate of fields in this operator's natural domain."""
-        return self.robin_a if self.order == 4 else self.robin_b
-
-    @property
     def bandwidth(self) -> int:
         coo = self.matrix.tocoo()
         if coo.nnz == 0:
             return 0
         return int(np.max(np.abs(coo.row - coo.col)))
-
-    def tip_ratio(self, exponent: Optional[float] = None) -> float:
-        """exp(-a dt) linking the tip node to its neighbor."""
-        a = self.field_exponent if exponent is None else exponent
-        return float(np.exp(-a * self.grid.dt))
-
-    def apply(self, arr: np.ndarray) -> np.ndarray:
-        return self.matrix @ arr
 
 
 def _check_pair(grid: ConeGrid, spec: ExtensionSpec):
@@ -98,22 +85,24 @@ def assemble_laplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOpera
     n = grid.cs.n
     h = grid.dt
     N = grid.n_radial
-    e2t = np.exp(2.0 * grid.t)
-    i = np.arange(1, N)
-    M = sp.lil_matrix((N + 1, N + 1))
-    M[i, i - 1] = e2t[i] * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
-    M[i, i] = e2t[i] * (-2.0 / h ** 2 + lam)
-    M[i, i + 1] = e2t[i] * (1.0 / h ** 2 - 0.5 * (n - 1) / h)
-    M[0, 0] = M[1, 0]
-    M[0, 1] = M[1, 1]
-    M[0, 2] = M[1, 2]
-    ratio = np.exp(-b_j * h)
-    M[N, N - 2] = ratio * M[N - 1, N - 2]
-    M[N, N - 1] = ratio * M[N - 1, N - 1]
-    M[N, N] = ratio * M[N - 1, N]
+    e2t = np.exp(2.0 * grid.t)[1:N]
+    # row r holds the entries of columns c - 1, c, c + 1 with c clamped
+    # to the interior, so the two image rows reuse their neighbor's columns
+    vals = np.empty((N + 1, 3))
+    vals[1:N, 0] = e2t * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
+    vals[1:N, 1] = e2t * (-2.0 / h ** 2 + lam)
+    vals[1:N, 2] = e2t * (1.0 / h ** 2 - 0.5 * (n - 1) / h)
+    vals[0] = vals[1]
+    vals[N] = np.exp(-b_j * h) * vals[N - 1]
+    cols = np.clip(np.arange(N + 1), 1, N - 1)[:, np.newaxis] + np.arange(-1, 2)
+    # store no zeros, as LIL assembly did: the pattern fixes the order in
+    # which sparse products such as P @ P sum their terms
+    keep = vals != 0.0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    M = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(N + 1, N + 1))
     return ModeOperator(grid=grid, mode=j, order=2, lam=lam,
                         robin_a=float(a_j), robin_b=float(b_j),
-                        matrix=M.tocsr())
+                        matrix=M)
 
 
 def assemble_bilaplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
@@ -140,14 +129,18 @@ def bilaplacian_suite(grid: ConeGrid, spec: ExtensionSpec,
     return out
 
 
+def mode_slices(grid: ConeGrid) -> List[slice]:
+    """Column range of each mode; channels are stored in mode order."""
+    bounds = np.searchsorted(grid.channel_modes, np.arange(grid.j_max + 2))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def apply_modewise(ops: List[ModeOperator], coeffs: np.ndarray,
                    grid: ConeGrid) -> np.ndarray:
     """Apply one radial operator per mode across all channels."""
     out = np.empty_like(coeffs)
-    for j in range(grid.j_max + 1):
-        cols = np.nonzero(grid.channel_modes == j)[0]
-        if cols.size:
-            out[:, cols] = ops[j].matrix @ coeffs[:, cols]
+    for op, cols in zip(ops, mode_slices(grid)):
+        out[:, cols] = op.matrix @ coeffs[:, cols]
     return out
 
 
@@ -175,31 +168,37 @@ class TransformPlan:
 
     Analysis is (L/m) S^T, which inverts synthesis exactly on the
     retained band as long as m exceeds twice the top mode; m is padded
-    further so cubic products project back without aliasing.
+    further so cubic products project back without aliasing.  The plan
+    keeps no reference to its grid, which caches it: a cycle would
+    outlive both until the cyclic collector runs.
     """
 
-    grid: ConeGrid
+    grid: InitVar[ConeGrid]
     n_phys: Optional[int] = None
 
-    def __post_init__(self):
-        cs = self.grid.cs
+    def __post_init__(self, grid: ConeGrid):
+        cs = grid.cs
         if cs.geometry != "circle":
             raise ValueError("angular transform is implemented for circles only")
-        jm = self.grid.j_max
+        jm = grid.j_max
         self.m = self.n_phys or max(4 * jm + 5, 8)
         L = float(cs.circumference)
         self.theta = L * np.arange(self.m) / self.m
         self.S = np.column_stack([cs.evaluate(j, k, self.theta)
-                                  for j, k in self.grid.channels])
-        nc = self.grid.n_channels
-        D = np.zeros((nc, nc))
-        for c, (j, k) in enumerate(self.grid.channels):
+                                  for j, k in grid.channels])
+        # d_theta sends cos(w theta) to -w sin(w theta) and sin to
+        # w cos: output channel c is weight[c] times input channel
+        # partner[c]; mode 0 has weight zero
+        nc = grid.n_channels
+        self._partner = np.arange(nc)
+        self._weight = np.zeros(nc)
+        for c, (j, k) in enumerate(grid.channels):
             if j == 0:
                 continue
             w = 2.0 * np.pi * j / L
-            partner = self.grid.channel_index(j, 1 - k)
-            D[partner, c] = -w if k == 0 else w
-        self.Dtheta = D
+            partner = grid.channel_index(j, 1 - k)
+            self._partner[partner] = c
+            self._weight[partner] = -w if k == 0 else w
         self._analysis = (L / self.m) * self.S
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
@@ -209,7 +208,11 @@ class TransformPlan:
         return values @ self._analysis
 
     def dtheta(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.Dtheta.T
+        out = coeffs[:, self._partner] * self._weight
+        # the dense product with the derivative matrix sums from +0, so
+        # a zero product comes out +0.0, never -0.0
+        out += 0.0
+        return out
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Mode coefficients of the pointwise product of two fields."""
@@ -231,16 +234,22 @@ def gradient_pairing(u: FieldState, v: FieldState,
     Both slots must live on the same grid.  The product is formed
     pointwise on the padded physical grid and projected back, so for
     u = v = x cos(theta) the result is the constant 1 up to O(dt^2)
-    from the radial stencil.
+    from the radial stencil.  With v the very same state as u, its
+    gradients are transformed once.
     """
     grid = grid or u.grid
     if v.grid is not grid or u.grid is not grid:
         raise ValueError("gradient pairing needs both fields on one grid")
     plan = transform_plan(grid)
     D = grid.radial_derivative_matrix()
-    rad = plan.to_physical(D @ u.coeffs) * plan.to_physical(D @ v.coeffs)
-    ang = plan.to_physical(plan.dtheta(u.coeffs)) * plan.to_physical(plan.dtheta(v.coeffs))
-    w = plan.to_modes(rad + ang) * np.exp(2.0 * grid.t)[:, np.newaxis]
+
+    def gradient(w: FieldState):
+        return (plan.to_physical(D @ w.coeffs),
+                plan.to_physical(plan.dtheta(w.coeffs)))
+
+    ut, uy = gradient(u)
+    vt, vy = (ut, uy) if v is u else gradient(v)
+    w = plan.to_modes(ut * vt + uy * vy) * np.exp(2.0 * grid.t)[:, np.newaxis]
     return u.like(w)
 
 

@@ -227,7 +227,7 @@ def parse_config(path: Optional[str]) -> CliConfig:
 def _cross_section(cfg: CliConfig):
     if cfg.geometry == "circle":
         return make_circle(cfg.L, max_mode=cfg.j_max)
-    return make_sphere(cfg.n, max_degree=8)
+    return make_sphere(cfg.n, max_degree=cfg.j_max)
 
 
 def _require_circle(cfg: CliConfig, command: str):

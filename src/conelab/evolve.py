@@ -24,10 +24,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 from .assembly import (apply_modewise, cubic_field, flux_divergence,
-                       gradient_pairing, laplacian_suite, to_banded,
+                       gradient_pairing, laplacian_suite, mode_slices,
                        transform_plan)
 from .cross_section import make_circle
 from .extensions import ExtensionSpec, build_extension, default_weight
@@ -105,8 +106,47 @@ def double_well(u: FieldState) -> FieldState:
     return u.like(u.coeffs - cubic_field(u).coeffs)
 
 
+def banded_lu(R: np.ndarray) -> tuple:
+    """LU factors of the square matrix with rows R[i, kl + k] = A[i, i + k].
+
+    Tridiagonal matrices go to dgttrf and wider ones to dgbtrf: the
+    factorizations inside the gtsv and gbsv drivers that
+    scipy.linalg.solve_banded uses, so banded_solve returns the same
+    bits as solve_banded on the same bands.
+    """
+    m, width = R.shape
+    kl = width // 2
+    if kl == 1:
+        *factors, info = lapack.dgttrf(R[1:, 0], R[:, 1], R[:-1, 2])
+    else:
+        # LAPACK band storage, with kl extra rows for the pivoting fill-in
+        ab = np.zeros((3 * kl + 1, m))
+        for k in range(-kl, kl + 1):
+            ab[2 * kl - k, max(0, k):m + min(0, k)] = R[max(0, -k):m - max(0, k), kl + k]
+        *factors, info = lapack.dgbtrf(ab, kl, kl)
+    if info != 0:
+        raise LinAlgError(f"singular banded system (LAPACK info {info})")
+    return tuple(factors)
+
+
+def banded_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve with the factors from banded_lu; b holds one right-hand side per column."""
+    if len(factors) == 2:
+        lu, ipiv = factors
+        kl = (lu.shape[0] - 1) // 3
+        x, _ = lapack.dgbtrs(lu, kl, kl, b, ipiv)
+    else:
+        x, _ = lapack.dgttrs(*factors, b)
+    return x
+
+
 class Stepper:
-    """Operators and banded implicit systems for one (spec, grid, dt)."""
+    """Operators and factored implicit systems for one (spec, grid, dt).
+
+    Each mode's system is factored once, here: banded LU for the
+    pentadiagonal conserved-flow system, tridiagonal LU for the
+    relaxational one (the LAPACK routines solve_banded would call).
+    """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
                  equation: str = "cahn-hilliard",
@@ -125,52 +165,56 @@ class Stepper:
         exps = np.array([self.laps[j].robin_a if order == 4 else self.laps[j].robin_b
                          for j in grid.channel_modes.tolist()])
         self.tip_ratio = np.exp(-exps * grid.dt)
-        self._bands = self._build_systems(order)
+        self._modes = mode_slices(grid)
+        self._row_scale = np.empty((grid.n_nodes, grid.n_channels))
+        self._factors = []
+        for j, cols in enumerate(self._modes):
+            d, factors = self._factor(j, order)
+            self._row_scale[:, cols] = d[:, np.newaxis]
+            self._factors.append(factors)
 
-    def _build_systems(self, order: int) -> List[Tuple[Tuple[int, int], np.ndarray, np.ndarray]]:
+    def _factor(self, j: int, order: int) -> Tuple[np.ndarray, tuple]:
+        """Row scale and LU factors of mode j's constrained system."""
         m = self.grid.n_nodes
+        P = self.laps[j].matrix
         eye = sp.identity(m, format="csr")
-        bands = []
-        for j in range(self.grid.j_max + 1):
-            P = self.laps[j].matrix
-            if order == 4:
-                A = (eye + self.dt * (P @ P + P)).tolil()
-                ratio = np.exp(-self.laps[j].robin_a * self.grid.dt)
-                kl = ku = 2
-            else:
-                A = (eye - self.dt * P).tolil()
-                ratio = np.exp(-self.laps[j].robin_b * self.grid.dt)
-                kl = ku = 1
-            A[0, :] = 0.0
-            A[0, 0] = 1.0
-            A[0, 1] = -1.0
-            A[m - 1, :] = 0.0
-            A[m - 1, m - 2] = -ratio
-            A[m - 1, m - 1] = 1.0
-            A = A.tocsr()
-            # row equilibration by exact powers of two: the e^(4t) dynamic
-            # range otherwise costs the banded LU ~14 digits, which stalls
-            # the Picard iteration on solver rounding noise; power-of-two
-            # scales keep zero right-hand sides bitwise zero
-            rowmax = np.abs(A).max(axis=1).toarray().ravel()
-            d = np.exp2(-np.round(np.log2(rowmax)))
-            bands.append(((kl, ku), to_banded(sp.diags(d) @ A, kl, ku), d))
-        return bands
-
-    def system_matrix(self, j: int) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray]:
-        """(kl, ku), equilibrated bands, and row scale for mode j."""
-        return self._bands[j]
+        if order == 4:
+            A = eye + self.dt * (P @ P + P)
+            ratio = np.exp(-self.laps[j].robin_a * self.grid.dt)
+            kl = 2
+        else:
+            A = eye - self.dt * P
+            ratio = np.exp(-self.laps[j].robin_b * self.grid.dt)
+            kl = 1
+        # R[i, kl + k] = A[i, i + k]; the end rows, the only ones reaching
+        # past the band, become the constraint rows
+        R = np.zeros((m, 2 * kl + 1))
+        for k in range(-kl, kl + 1):
+            R[max(0, -k):m - max(0, k), kl + k] = A.diagonal(k)
+        R[0] = 0.0
+        R[0, kl:kl + 2] = 1.0, -1.0
+        R[-1] = 0.0
+        R[-1, kl - 1:kl + 1] = -ratio, 1.0
+        # row equilibration by exact powers of two: the e^(4t) dynamic
+        # range otherwise costs the banded LU ~14 digits, which stalls
+        # the Picard iteration on solver rounding noise; power-of-two
+        # scales keep zero right-hand sides bitwise zero
+        d = np.exp2(-np.round(np.log2(np.abs(R).max(axis=1))))
+        R *= d[:, np.newaxis]
+        if not np.all(np.isfinite(R)):
+            raise ValueError(f"implicit system of mode {j} is not finite")
+        return d, banded_lu(R)
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
         return apply_modewise(self.laps, coeffs, self.grid)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        b = self._row_scale * rhs
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side of the implicit solve is not finite")
         out = np.empty_like(rhs)
-        for j in range(self.grid.j_max + 1):
-            cols = np.nonzero(self.grid.channel_modes == j)[0]
-            if cols.size:
-                (kl, ku), ab, d = self._bands[j]
-                out[:, cols] = solve_banded((kl, ku), ab, d[:, np.newaxis] * rhs[:, cols])
+        for cols, factors in zip(self._modes, self._factors):
+            out[:, cols] = banded_solve(factors, b[:, cols])
         return out
 
     def _constraint_rhs(self, rhs: np.ndarray, w: np.ndarray):

@@ -119,8 +119,9 @@ def test_dtheta_matches_analytic_derivative(grid8):
     s_idx = grid8.channel_index(3, 1)
     assert out[:, s_idx] == pytest.approx(-3.0 * np.ones(grid8.n_nodes))
     assert np.max(np.abs(np.delete(out, s_idx, axis=1))) == 0.0
-    # mode-0 row and column are structurally zero
-    assert np.all(plan.Dtheta[0, :] == 0.0) and np.all(plan.Dtheta[:, 0] == 0.0)
+    # mode 0 neither feeds nor receives the derivative
+    co[:, grid8.channel_index(0, 0)] = -1.0
+    assert plan.dtheta(co).tobytes() == out.tobytes()
 
 
 def test_gradient_pairing_analytic_constant(cs8):

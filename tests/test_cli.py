@@ -128,6 +128,15 @@ def test_sphere_commands_and_circle_guard(tmp_path):
     assert dispatch("simulate", cfg, str(out)) == 1
 
 
+def test_sphere_poles_follow_j_max(tmp_path):
+    cfg = parse_config(_write_cfg(tmp_path, geometry="sphere", n=2, j_max=20))
+    out = tmp_path / "o5"
+    assert dispatch("poles", cfg, str(out)) == 0
+    poles = json.loads((out / "poles.json").read_text())
+    for catalog in ("laplacian", "bilaplacian"):
+        assert max(e["mode"] for e in poles[catalog]) == 20
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"t_max": -1.0}))
