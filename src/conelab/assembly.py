@@ -105,12 +105,16 @@ def assemble_laplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOpera
                         matrix=M)
 
 
-def assemble_bilaplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
-    """Fourth-order radial operator as the exact square of the Laplacian."""
-    P = assemble_laplacian(j, grid, spec)
-    return ModeOperator(grid=grid, mode=j, order=4, lam=P.lam,
+def _squared(P: ModeOperator, grid: ConeGrid) -> ModeOperator:
+    """The fourth-order operator of P's mode: the exact matrix square."""
+    return ModeOperator(grid=grid, mode=P.mode, order=4, lam=P.lam,
                         robin_a=P.robin_a, robin_b=P.robin_b,
                         matrix=(P.matrix @ P.matrix).tocsr())
+
+
+def assemble_bilaplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
+    """Fourth-order radial operator as the exact square of the Laplacian."""
+    return _squared(assemble_laplacian(j, grid, spec), grid)
 
 
 def laplacian_suite(grid: ConeGrid, spec: ExtensionSpec) -> List[ModeOperator]:
@@ -121,12 +125,7 @@ def bilaplacian_suite(grid: ConeGrid, spec: ExtensionSpec,
                       laplacians: Optional[List[ModeOperator]] = None) -> List[ModeOperator]:
     if laplacians is None:
         laplacians = laplacian_suite(grid, spec)
-    out = []
-    for P in laplacians:
-        out.append(ModeOperator(grid=grid, mode=P.mode, order=4, lam=P.lam,
-                                robin_a=P.robin_a, robin_b=P.robin_b,
-                                matrix=(P.matrix @ P.matrix).tocsr()))
-    return out
+    return [_squared(P, grid) for P in laplacians]
 
 
 def mode_slices(grid: ConeGrid) -> List[slice]:

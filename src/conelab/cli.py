@@ -20,7 +20,8 @@ import numpy as np
 from .asymptotics import ZeroModeError, fit_exponents, match_catalog
 from .cone_symbol import compute_bilaplacian_poles, compute_poles
 from .cross_section import make_circle, make_sphere
-from .evolve import PicardDivergenceError, RunConfig, run
+from .evolve import (PicardDivergenceError, RunConfig, radial_intervals, run,
+                     time_steps)
 from .extensions import (InconsistentDomainError, admissible_window,
                          build_extension, default_weight)
 from .mellin import ConeGrid, mellin_norm
@@ -210,8 +211,9 @@ def parse_config(path: Optional[str]) -> CliConfig:
     cfg = CliConfig(**merged)
     if not cfg.dt < cfg.T:
         errors.append("/dt: must be smaller than the horizon T")
-    m = round(cfg.t_max / cfg.delta_t)
-    if m < 8 or abs(m * cfg.delta_t - cfg.t_max) > 1e-9 * cfg.t_max:
+    elif time_steps(cfg.T, cfg.dt) < 1:
+        errors.append("/dt: must divide the horizon T")
+    if radial_intervals(cfg.t_max, cfg.delta_t) < 8:
         errors.append("/delta_t: must divide t_max into >= 8 intervals")
     if cfg.gamma is not None:
         cs = _cross_section(cfg)
@@ -322,29 +324,38 @@ def _cmd_simulate(cfg: CliConfig, out: str) -> int:
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for i, snap in enumerate(snaps):
-        grid = snap.grid
-        meta = {
-            "time": snap.time,
-            "t_max": grid.t_max,
-            "n_radial": grid.n_radial,
-            "j_max": grid.j_max,
-            "gamma": snap.gamma,
-            "p": snap.p,
-            "channels": [[j, k] for j, k in grid.channels],
-        }
-        lines = ["# " + _ser(meta), "t_node,mode,branch,coefficient"]
-        for c, (j, k) in enumerate(grid.channels):
-            col = snap.coeffs[:, c]
-            for i_node in range(grid.n_nodes):
-                lines.append(f"{_fmt(grid.t[i_node])},{j},{k},{_fmt(col[i_node])}")
         _write_text(os.path.join(snap_dir, f"snap_{i:04d}.csv"),
-                    "\n".join(lines) + "\n")
+                    _snapshot_text(snap))
     return 0
+
+
+def _snapshot_text(snap) -> str:
+    """The snapshot CSV: a '# {meta}' line, a header, one row per node and channel.
+
+    Floats use _fmt's "%.17g", so the bytes match the per-value format.
+    """
+    grid = snap.grid
+    meta = {
+        "time": snap.time,
+        "t_max": grid.t_max,
+        "n_radial": grid.n_radial,
+        "j_max": grid.j_max,
+        "gamma": snap.gamma,
+        "p": snap.p,
+        "channels": [[j, k] for j, k in grid.channels],
+    }
+    lines = ["# " + _ser(meta), "t_node,mode,branch,coefficient"]
+    t_nodes = ["%.17g" % t for t in grid.t.tolist()]
+    for c, (j, k) in enumerate(grid.channels):
+        mid = f",{j},{k},"
+        lines += [t + mid + "%.17g" % v
+                  for t, v in zip(t_nodes, snap.coeffs[:, c].tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_norms(cfg: CliConfig, out: str) -> int:
     _require_circle(cfg, "norms")
-    snaps, _ = run(cfg.to_run_config())
+    snaps, _ = run(cfg.to_run_config(), diagnostics=False)
     rows = []
     for snap in snaps:
         for k in range(cfg.norms_k_max + 1):
@@ -372,7 +383,7 @@ def _cmd_lab(cfg: CliConfig, out: str) -> int:
 
 def _cmd_asympt(cfg: CliConfig, out: str) -> int:
     _require_circle(cfg, "asympt")
-    snaps, _ = run(cfg.to_run_config())
+    snaps, _ = run(cfg.to_run_config(), diagnostics=False)
     final = snaps[-1]
     _, spec = _build_spec(cfg)
     rows = []

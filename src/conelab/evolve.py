@@ -88,17 +88,32 @@ class RunConfig:
 
     @property
     def n_radial(self) -> int:
-        m = round(self.t_max / self.delta_t)
-        if m < 8 or abs(m * self.delta_t - self.t_max) > 1e-9 * self.t_max:
+        m = radial_intervals(self.t_max, self.delta_t)
+        if m < 8:
             raise ValueError("delta_t must divide t_max into >= 8 intervals")
         return m
 
     @property
     def n_steps(self) -> int:
-        m = round(self.T / self.dt)
-        if m < 1 or abs(m * self.dt - self.T) > 1e-6 * self.T:
+        m = time_steps(self.T, self.dt)
+        if m < 1:
             raise ValueError("dt must divide the horizon T")
         return m
+
+
+def _divisions(total: float, step: float, rel_tol: float) -> int:
+    m = round(total / step)
+    return m if abs(m * step - total) <= rel_tol * total else 0
+
+
+def radial_intervals(t_max: float, delta_t: float) -> int:
+    """Number of radial intervals delta_t cuts t_max into, 0 if it does not divide it."""
+    return _divisions(t_max, delta_t, 1e-9)
+
+
+def time_steps(T: float, dt: float) -> int:
+    """Number of steps dt cuts the horizon T into, 0 if it does not divide it."""
+    return _divisions(T, dt, 1e-6)
 
 
 def double_well(u: FieldState) -> FieldState:
@@ -404,12 +419,14 @@ def _diagnostics_row(u: FieldState, step: int, spec: ExtensionSpec) -> dict:
 
 
 def run(config: RunConfig, initial: Optional[FieldState] = None,
-        forcing=None, context=None) -> Tuple[List[FieldState], List[dict]]:
+        forcing=None, context=None, *,
+        diagnostics: bool = True) -> Tuple[List[FieldState], List[dict]]:
     """March the configured flow; returns (snapshots, diagnostics rows).
 
     Snapshots are taken every snapshot_every steps plus the initial and
     final states; diagnostics (mass, energy, sup norm, order-0 and
-    order-2 weighted norms) are recorded every step.  context, when
+    order-2 weighted norms) are recorded every step unless diagnostics
+    is False, in which case the row list is empty.  context, when
     given, is a prebuilt (spec, grid) pair; an initial state must live
     on that grid.
     """
@@ -427,13 +444,14 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
                       config.picard_iters, config.picard_tol)
     f = double_well if config.equation == "allen-cahn" else None
     snapshots = [u.copy()]
-    diagnostics = [_diagnostics_row(u, 0, spec)]
+    rows = [_diagnostics_row(u, 0, spec)] if diagnostics else []
     for step in range(1, config.n_steps + 1):
         u = stepper.step(u, f=f, forcing=forcing)
-        diagnostics.append(_diagnostics_row(u, step, spec))
+        if diagnostics:
+            rows.append(_diagnostics_row(u, step, spec))
         if step % config.snapshot_every == 0 or step == config.n_steps:
             snapshots.append(u.copy())
-    return snapshots, diagnostics
+    return snapshots, rows
 
 
 def wellposedness_smoke(config: RunConfig, delta: float) -> dict:
@@ -447,8 +465,10 @@ def wellposedness_smoke(config: RunConfig, delta: float) -> dict:
     base0 = initial_state(config, grid, spec)
     pert0 = base0.copy()
     pert0.coeffs[:, grid.channel_index(0, 0)] += delta * _bump_envelope(grid.t)
-    base_snaps, _ = run(config, initial=base0, context=(spec, grid))
-    pert_snaps, _ = run(config, initial=pert0, context=(spec, grid))
+    base_snaps, _ = run(config, initial=base0, context=(spec, grid),
+                        diagnostics=False)
+    pert_snaps, _ = run(config, initial=pert0, context=(spec, grid),
+                        diagnostics=False)
     bf = base_snaps[-1].coeffs
     pf = pert_snaps[-1].coeffs
     gap = float(np.max(np.abs(pf - bf)))

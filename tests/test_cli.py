@@ -56,6 +56,9 @@ def test_parse_config_gamma_window(tmp_path):
 def test_parse_config_coupled_checks(tmp_path):
     with pytest.raises(ConfigError, match="/dt"):
         parse_config(_write_cfg(tmp_path, dt=0.5, T=0.05))
+    with pytest.raises(ConfigError, match="^/dt: must divide the horizon T$"):
+        parse_config(_write_cfg(tmp_path, dt=0.003, T=0.05))
+    assert parse_config(_write_cfg(tmp_path, dt=0.0025, T=0.05)).dt == 0.0025
     with pytest.raises(ConfigError, match="/delta_t"):
         parse_config(_write_cfg(tmp_path, delta_t=0.7))
     with pytest.raises(ConfigError, match="/: config must be a JSON object"):
@@ -143,6 +146,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["poles", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:\n/t_max:")
+    # caught at parse time, so commands that never step refuse it too
+    uneven = _write_cfg(tmp_path, "uneven.json", dt=0.003)
+    assert main(["poles", "--config", uneven]) == 1
+    assert capsys.readouterr().err == "config error:\n/dt: must divide the horizon T\n"
     ok = _write_cfg(tmp_path)
     assert main(["poles", "--config", ok, "--out", str(tmp_path / "o4")]) == 0
     with pytest.raises(SystemExit):

@@ -136,6 +136,16 @@ def test_relaxational_run_moves_toward_well(cs8):
     assert diags[-1]["mass"] > diags[0]["mass"]
 
 
+@pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
+def test_run_without_diagnostics_keeps_snapshots(grid8, spec8, equation):
+    cfg = RunConfig(equation=equation, T=0.01, dt=1e-3, snapshot_every=4, **CFG)
+    snaps, diags = run(cfg, context=(spec8, grid8))
+    bare, rows = run(cfg, context=(spec8, grid8), diagnostics=False)
+    assert len(diags) == 11 and rows == []
+    assert [s.time for s in bare] == [s.time for s in snaps]
+    assert [s.coeffs.tobytes() for s in bare] == [s.coeffs.tobytes() for s in snaps]
+
+
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):
     cfg = RunConfig(T=0.005, dt=1e-3, **CFG)
     u0 = initial_state(cfg, grid8, spec8)

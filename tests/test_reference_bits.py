@@ -2,7 +2,8 @@
 
 The references below are the straightforward constructions: LIL-built
 matrices, scipy.linalg.solve_banded on freshly built bands, the dense
-angular-derivative matrix and per-mode CSR products.  Every comparison
+angular-derivative matrix, per-mode CSR products and a snapshot CSV
+formatted one value at a time.  Every comparison
 is on tobytes(), so a flipped sign of zero fails as well.
 """
 
@@ -21,7 +22,8 @@ from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      laplacian_suite, make_circle, make_sphere, to_banded,
                      transform_plan)
 from conelab.assembly import apply_modewise
-from conelab.evolve import banded_lu, banded_solve
+from conelab.cli import _fmt, _ser, _snapshot_text
+from conelab.evolve import banded_lu, banded_solve, run
 
 
 def _lil_laplacian(j, grid, spec):
@@ -205,3 +207,36 @@ def test_grid_with_plan_and_stepper_dies_without_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _per_value_snapshot_text(snap):
+    grid = snap.grid
+    meta = {
+        "time": snap.time,
+        "t_max": grid.t_max,
+        "n_radial": grid.n_radial,
+        "j_max": grid.j_max,
+        "gamma": snap.gamma,
+        "p": snap.p,
+        "channels": [[j, k] for j, k in grid.channels],
+    }
+    lines = ["# " + _ser(meta), "t_node,mode,branch,coefficient"]
+    for c, (j, k) in enumerate(grid.channels):
+        col = snap.coeffs[:, c]
+        for i_node in range(grid.n_nodes):
+            lines.append(f"{_fmt(grid.t[i_node])},{j},{k},{_fmt(col[i_node])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_snapshot_text_matches_per_value_format(grid8, spec8):
+    cfg = RunConfig(j_max=8, t_max=3.0, delta_t=0.02, T=0.01, snapshot_every=5)
+    snaps, _ = run(cfg, context=(spec8, grid8), diagnostics=False)
+    odd = FieldState.zeros(grid8, gamma=None, p=2.0)
+    special = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, np.inf, np.nan, -np.inf]
+    odd.coeffs.ravel()[:] = np.resize(special, odd.coeffs.size)
+    odd.coeffs[5] *= -1.0
+    odd.time = 0.1
+    assert "nan" in _per_value_snapshot_text(odd)
+    for snap in snaps + [odd]:
+        got = _snapshot_text(snap).encode()
+        assert got == _per_value_snapshot_text(snap).encode()
