@@ -134,13 +134,55 @@ def mode_slices(grid: ConeGrid) -> List[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+class FieldOperator:
+    """One radial operator per mode, applied to every channel in one sparse product.
+
+    The matrix is block diagonal in the node-major order
+    (node i, mode j) -> i (j_max + 1) + j and holds each mode's matrix
+    once; a mode's channels are its right-hand-side columns, padded to
+    the largest multiplicity (on a circle, the cos/sin pair, with one
+    padding column for mode 0).  Row (i, j) keeps the entries of row i
+    of mode j's matrix in their stored order and the product sums them
+    from zero, exactly as the per-mode CSR product does, so the result
+    is the same bits.
+    """
+
+    def __init__(self, ops: List[ModeOperator], grid: ConeGrid):
+        n, nm = grid.n_nodes, len(ops)
+        mult = np.bincount(grid.channel_modes, minlength=nm)
+        self.width = int(mult.max())
+        # channel (j, k) sits in the last mult[j] columns of mode j's block;
+        # on a circle these are contiguous, and a slice copies faster
+        pos = np.array([j * self.width + self.width - mult[j] + k
+                        for j, k in grid.channels])
+        self._cols = (slice(pos[0], pos[0] + pos.size)
+                      if np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size))
+                      else pos)
+        self._padded = (n, nm * self.width)
+        counts = np.array([np.diff(op.matrix.indptr) for op in ops])
+        indptr = np.concatenate(([0], np.cumsum(counts.T.ravel())))
+        data = np.empty(indptr[-1])
+        cols = np.empty(indptr[-1], dtype=ops[0].matrix.indices.dtype)
+        for j, op in enumerate(ops):
+            M = op.matrix
+            # entry s of row i of mode j goes to indptr[i nm + j] + s
+            dest = np.repeat(indptr[j:-1:nm] - M.indptr[:-1], counts[j])
+            dest += np.arange(M.nnz)
+            data[dest] = M.data
+            cols[dest] = M.indices * nm + j
+        self.matrix = sp.csr_matrix((data, cols, indptr), shape=(n * nm, n * nm))
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        x = np.zeros(self._padded)
+        x[:, self._cols] = coeffs
+        y = self.matrix @ x.reshape(-1, self.width)
+        return np.ascontiguousarray(y.reshape(self._padded)[:, self._cols])
+
+
 def apply_modewise(ops: List[ModeOperator], coeffs: np.ndarray,
                    grid: ConeGrid) -> np.ndarray:
     """Apply one radial operator per mode across all channels."""
-    out = np.empty_like(coeffs)
-    for op, cols in zip(ops, mode_slices(grid)):
-        out[:, cols] = op.matrix @ coeffs[:, cols]
-    return out
+    return FieldOperator(ops, grid).apply(coeffs)
 
 
 def apply_operator(u: FieldState, ops: List[ModeOperator]) -> FieldState:
@@ -206,6 +248,10 @@ class TransformPlan:
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         return values @ self._analysis
 
+    def synthesise(self, coeffs: np.ndarray) -> List[np.ndarray]:
+        """[values, angular derivative] of a field on the padded physical grid."""
+        return [self.to_physical(coeffs), self.to_physical(self.dtheta(coeffs))]
+
     def dtheta(self, coeffs: np.ndarray) -> np.ndarray:
         out = coeffs[:, self._partner] * self._weight
         # the dense product with the derivative matrix sums from +0, so
@@ -227,14 +273,17 @@ def transform_plan(grid: ConeGrid) -> TransformPlan:
 
 
 def gradient_pairing(u: FieldState, v: FieldState,
-                     grid: Optional[ConeGrid] = None) -> FieldState:
+                     grid: Optional[ConeGrid] = None,
+                     angular: Optional[np.ndarray] = None) -> FieldState:
     """Metric pairing of gradients, e^(2t) (u_t v_t + u_theta v_theta).
 
     Both slots must live on the same grid.  The product is formed
     pointwise on the padded physical grid and projected back, so for
     u = v = x cos(theta) the result is the constant 1 up to O(dt^2)
     from the radial stencil.  With v the very same state as u, its
-    gradients are transformed once.
+    gradients are transformed once.  angular, when given, is u's angular
+    derivative on the padded grid (the second array of
+    TransformPlan.synthesise) and is not synthesised again.
     """
     grid = grid or u.grid
     if v.grid is not grid or u.grid is not grid:
@@ -242,11 +291,12 @@ def gradient_pairing(u: FieldState, v: FieldState,
     plan = transform_plan(grid)
     D = grid.radial_derivative_matrix()
 
-    def gradient(w: FieldState):
-        return (plan.to_physical(D @ w.coeffs),
-                plan.to_physical(plan.dtheta(w.coeffs)))
+    def gradient(w: FieldState, angular=None):
+        if angular is None:
+            angular = plan.to_physical(plan.dtheta(w.coeffs))
+        return plan.to_physical(D @ w.coeffs), angular
 
-    ut, uy = gradient(u)
+    ut, uy = gradient(u, angular)
     vt, vy = (ut, uy) if v is u else gradient(v)
     w = plan.to_modes(ut * vt + uy * vy) * np.exp(2.0 * grid.t)[:, np.newaxis]
     return u.like(w)
@@ -259,8 +309,9 @@ def cubic_field(u: FieldState) -> FieldState:
     return u.like(plan.to_modes(vals ** 3))
 
 
-def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray,
-                    grid: ConeGrid) -> np.ndarray:
+def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray, grid: ConeGrid,
+                    midpoints: Optional[np.ndarray] = None,
+                    evaluation: Optional[List[np.ndarray]] = None) -> np.ndarray:
     """Mode coefficients of div(s grad z) = e^(2t)(d_t(s z_t) + d_y(s z_y)).
 
     s is given pointwise on the padded physical grid, z in mode
@@ -270,16 +321,35 @@ def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray,
     constant; the angular part applies d_y outermost, whose mode-0 row is
     zero, so it never moves mass.  The two boundary rows are left zero
     (zero-flux closure); solvers overwrite them with constraint rows.
+
+    midpoints, the radial midpoint average 0.5 (s_i + s_(i+1)), is
+    computed here unless the caller has it.  So is evaluation, the list
+    TransformPlan.synthesise(z); a caller's list is consumed: it is
+    emptied and its arrays are overwritten as scratch.
     """
     plan = transform_plan(grid)
     h = grid.dt
-    phys = plan.to_physical(z)
-    smid = 0.5 * (scalar_phys[:-1] + scalar_phys[1:])
-    fr = smid * (phys[1:] - phys[:-1]) / h
-    divr = np.zeros_like(phys)
-    divr[1:-1] = (fr[1:] - fr[:-1]) / h
-    ang = plan.dtheta(plan.to_modes(scalar_phys * plan.to_physical(plan.dtheta(z))))
-    return (plan.to_modes(divr) + ang) * np.exp(2.0 * grid.t)[:, np.newaxis]
+    if evaluation is None:
+        evaluation = plan.synthesise(z)
+    phys, angular = evaluation
+    evaluation.clear()
+    if midpoints is None:
+        midpoints = 0.5 * (scalar_phys[:-1] + scalar_phys[1:])
+    # each physical-grid array is released as soon as it is used up
+    fr = phys[1:] - phys[:-1]
+    del phys
+    fr *= midpoints
+    fr /= h
+    divr = np.zeros((fr.shape[0] + 1, fr.shape[1]))
+    np.subtract(fr[1:], fr[:-1], out=divr[1:-1])
+    del fr
+    divr[1:-1] /= h
+    out = plan.to_modes(divr)
+    del divr
+    angular *= scalar_phys
+    out += plan.dtheta(plan.to_modes(angular))
+    out *= np.exp(2.0 * grid.t)[:, np.newaxis]
+    return out
 
 
 def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,
@@ -298,13 +368,14 @@ def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,
     grid = grid or u.grid
     plan = transform_plan(grid)
     laps = laplacian_suite(grid, spec)
-    bils = bilaplacian_suite(grid, spec, laps)
+    lap = FieldOperator(laps, grid)
+    bil = FieldOperator(bilaplacian_suite(grid, spec, laps), grid)
     u_phys = plan.to_physical(u.coeffs)
     u2_phys = u_phys ** 2
 
     def a_freeze(w: FieldState) -> FieldState:
-        lw = apply_modewise(laps, w.coeffs, grid)
-        out = apply_modewise(bils, w.coeffs, grid) + lw
+        lw = lap.apply(w.coeffs)
+        out = bil.apply(w.coeffs) + lw
         out -= 3.0 * plan.to_modes(u2_phys * plan.to_physical(lw))
         return w.like(out)
 

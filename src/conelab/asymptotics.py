@@ -24,12 +24,23 @@ class ZeroModeError(ValueError):
     """The requested mode carries no signal on the fit window."""
 
 
-def _fit_at(a: float, t: np.ndarray, y: np.ndarray, t0: float):
-    b0 = np.exp(-a * (t - t0))
-    X = np.column_stack([b0, -t * b0])
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.linalg.norm(y - X @ coef) / np.linalg.norm(y))
-    return resid, coef
+def _fitter(t: np.ndarray, y: np.ndarray, t0: float):
+    """fit_at(a) -> (relative residual, coefficients) of y in the basis at rate a.
+
+    The parts that do not depend on a are computed once, here.
+    """
+    shifted = t - t0
+    neg_t = -t
+    y_norm = np.linalg.norm(y)
+    X = np.empty((t.size, 2))
+
+    def fit_at(a: float):
+        b0 = np.exp(-a * shifted)
+        X[:, 0] = b0
+        np.multiply(neg_t, b0, out=X[:, 1])
+        coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+        return float(np.linalg.norm(y - X @ coef) / y_norm), coef
+    return fit_at
 
 
 def fit_exponents(u: FieldState, j: int,
@@ -74,26 +85,27 @@ def fit_exponents(u: FieldState, j: int,
     nz = np.nonzero(np.abs(y) > 1e-3 * peak)[0]
     a_rough = (np.log(abs(y[nz[0]])) - np.log(abs(y[nz[-1]]))) / (t[nz[-1]] - t[nz[0]])
     scan = np.linspace(a_rough - 4.0, a_rough + 4.0, 161)
-    resids = [_fit_at(a, t, y, t0)[0] for a in scan]
+    fit_at = _fitter(t, y, t0)
+    resids = [fit_at(a)[0] for a in scan]
     k = int(np.argmin(resids))
     a_lo = scan[max(0, k - 1)]
     a_hi = scan[min(len(scan) - 1, k + 1)]
     # golden-section refinement of the residual minimum
     c = a_hi - _GOLD * (a_hi - a_lo)
     d = a_lo + _GOLD * (a_hi - a_lo)
-    fc = _fit_at(c, t, y, t0)[0]
-    fd = _fit_at(d, t, y, t0)[0]
+    fc = fit_at(c)[0]
+    fd = fit_at(d)[0]
     for _ in range(70):
         if fc < fd:
             a_hi, d, fd = d, c, fc
             c = a_hi - _GOLD * (a_hi - a_lo)
-            fc = _fit_at(c, t, y, t0)[0]
+            fc = fit_at(c)[0]
         else:
             a_lo, c, fc = c, d, fd
             d = a_lo + _GOLD * (a_hi - a_lo)
-            fd = _fit_at(d, t, y, t0)[0]
+            fd = fit_at(d)[0]
     a_hat = 0.5 * (a_lo + a_hi)
-    resid, coef = _fit_at(a_hat, t, y, t0)
+    resid, coef = fit_at(a_hat)
     # centering the exponential rescales both coefficients alike, so the
     # ratio is the log-to-plain content of x^a (c0 + c1 log x)
     log_coeff = float(coef[1] / coef[0]) if coef[0] != 0.0 else float("inf")

@@ -9,6 +9,7 @@ serializer with the same float format.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -123,7 +124,11 @@ def _is_int(v) -> bool:
 
 
 def _validate(key: str, v, errors: list):
-    if key == "geometry":
+    # JSON NaN and Infinity parse to floats that pass every range test
+    if any(isinstance(x, float) and not math.isfinite(x)
+           for x in (v if isinstance(v, (list, tuple)) else [v])):
+        errors.append(f"/{key}: expected a finite number")
+    elif key == "geometry":
         if v not in ("circle", "sphere"):
             errors.append(f"/{key}: expected 'circle' or 'sphere'")
     elif key == "equation":

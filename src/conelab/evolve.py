@@ -17,6 +17,15 @@ increment form keeps constants as exact fixed points: for u = 0, 1, -1
 the right-hand side vanishes identically (the stiff term is applied as
 two successive Laplacian applications, which annihilate constants in
 floating point) and the solve returns delta = 0 bitwise.
+
+Each state of a conserved run is synthesised once:
+TransformPlan.synthesise gives its values and angular derivative on the
+padded physical grid.  The diagnostics row builds them for the energy,
+after the norms, and run hands them to the next step.  The step takes
+u_n^2 from them and runs its first Picard sweep on them, since that
+sweep is at delta = 0 and w + 0 synthesises to the bits of w; then it
+frees them.  A step given nothing synthesises its state itself, so a
+run without diagnostics synthesises nothing after its last step.
 """
 
 from dataclasses import dataclass
@@ -27,12 +36,13 @@ import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from .assembly import (apply_modewise, cubic_field, flux_divergence,
+from .assembly import (FieldOperator, cubic_field, flux_divergence,
                        gradient_pairing, laplacian_suite, mode_slices,
                        transform_plan)
 from .cross_section import make_circle
 from .extensions import ExtensionSpec, build_extension, default_weight
-from .mellin import ConeGrid, FieldState, constant_state, mellin_norm
+from .mellin import (ConeGrid, FieldState, constant_state, mellin_norm,
+                     mellin_norms)
 
 EQUATIONS = ("cahn-hilliard", "allen-cahn")
 
@@ -175,31 +185,33 @@ class Stepper:
         self.picard_iters = picard_iters
         self.picard_tol = picard_tol
         self.plan = transform_plan(grid)
-        self.laps = laplacian_suite(grid, spec)
+        laps = laplacian_suite(grid, spec)
+        self.lap = FieldOperator(laps, grid)
         order = 4 if equation == "cahn-hilliard" else 2
-        exps = np.array([self.laps[j].robin_a if order == 4 else self.laps[j].robin_b
+        exps = np.array([laps[j].robin_a if order == 4 else laps[j].robin_b
                          for j in grid.channel_modes.tolist()])
         self.tip_ratio = np.exp(-exps * grid.dt)
         self._modes = mode_slices(grid)
         self._row_scale = np.empty((grid.n_nodes, grid.n_channels))
         self._factors = []
         for j, cols in enumerate(self._modes):
-            d, factors = self._factor(j, order)
+            d, factors = self._factor(j, laps[j].matrix, self.tip_ratio[cols.start], order)
             self._row_scale[:, cols] = d[:, np.newaxis]
             self._factors.append(factors)
 
-    def _factor(self, j: int, order: int) -> Tuple[np.ndarray, tuple]:
-        """Row scale and LU factors of mode j's constrained system."""
+    def _factor(self, j: int, P: sp.csr_matrix, ratio: float,
+                order: int) -> Tuple[np.ndarray, tuple]:
+        """Row scale and LU factors of mode j's constrained system.
+
+        P is the mode's Laplacian and ratio its tip decay ratio.
+        """
         m = self.grid.n_nodes
-        P = self.laps[j].matrix
         eye = sp.identity(m, format="csr")
         if order == 4:
             A = eye + self.dt * (P @ P + P)
-            ratio = np.exp(-self.laps[j].robin_a * self.grid.dt)
             kl = 2
         else:
             A = eye - self.dt * P
-            ratio = np.exp(-self.laps[j].robin_b * self.grid.dt)
             kl = 1
         # R[i, kl + k] = A[i, i + k]; the end rows, the only ones reaching
         # past the band, become the constraint rows
@@ -221,7 +233,7 @@ class Stepper:
         return d, banded_lu(R)
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
-        return apply_modewise(self.laps, coeffs, self.grid)
+        return self.lap.apply(coeffs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         b = self._row_scale * rhs
@@ -238,12 +250,21 @@ class Stepper:
 
     def step(self, u: FieldState,
              f: Optional[Callable[[FieldState], FieldState]] = None,
-             forcing: Optional[Callable[[float], np.ndarray]] = None) -> FieldState:
+             forcing: Optional[Callable[[float], np.ndarray]] = None,
+             evaluation: Optional[List[np.ndarray]] = None) -> FieldState:
+        """Advance u by dt.
+
+        evaluation, when given, is the list self.plan.synthesise(u.coeffs),
+        which the conserved flow then does not compute again.  Its first
+        sweep consumes the list (see flux_divergence), so the two arrays
+        are freed while the caller still holds it.  The relaxational flow
+        ignores it.
+        """
         if self.equation == "cahn-hilliard":
-            return self._ch_step(u, forcing)
+            return self._ch_step(u, forcing, evaluation)
         return self._ac_step(u, f, forcing)
 
-    def _ch_step(self, u: FieldState, forcing) -> FieldState:
+    def _ch_step(self, u: FieldState, forcing, evaluation) -> FieldState:
         # conserved flow.  The cubic transport enters in divergence form
         # div(3 u_n^2 grad(u_n + delta)), staggered radially: the weighted
         # radial sum telescopes, so mass moves only through the two
@@ -254,16 +275,26 @@ class Stepper:
         base = -(self.laplace(lw) + lw)
         if forcing is not None:
             base = base + np.asarray(forcing(u.time + dt))
-        u2 = 3.0 * self.plan.to_physical(w) ** 2
+        if not evaluation:
+            evaluation = self.plan.synthesise(w)
+        u2 = evaluation[0] ** 2
+        u2 *= 3.0
+        smid = u2[:-1] + u2[1:]
+        smid *= 0.5
         scale = max(1.0, float(np.max(np.abs(w))))
         delta = np.zeros_like(w)
         history = []
         for _ in range(self.picard_iters):
-            coup = flux_divergence(u2, w + delta, self.grid)
-            rhs = dt * (base + coup)
+            # the first sweep runs at delta = 0, where w + 0 synthesises to
+            # the bits of w: it consumes the shared evaluation
+            rhs = flux_divergence(u2, w + delta, self.grid, smid, evaluation or None)
+            rhs += base
+            rhs *= dt
             self._constraint_rhs(rhs, w)
             fresh = self._solve(rhs)
-            res = float(np.max(np.abs(fresh - delta))) / scale
+            del rhs
+            change = fresh - delta
+            res = float(np.max(np.abs(change, out=change))) / scale
             delta = fresh
             history.append(res)
             if res <= self.picard_tol:
@@ -283,8 +314,10 @@ class Stepper:
         w = u.coeffs
         if self.equation == "cahn-hilliard":
             lw = self.laplace(w)
-            u2 = 3.0 * self.plan.to_physical(w) ** 2
-            return -(self.laplace(lw) + lw) + flux_divergence(u2, w, self.grid)
+            evaluation = self.plan.synthesise(w)
+            u2 = 3.0 * evaluation[0] ** 2
+            return -(self.laplace(lw) + lw) + flux_divergence(
+                u2, w, self.grid, evaluation=evaluation)
         rhs = self.laplace(w)
         if f is not None:
             rhs = rhs + f(u).coeffs
@@ -331,12 +364,16 @@ def mass_functional(u: FieldState) -> float:
     return float(grid.dt * np.sqrt(float(grid.cs.area())) * np.sum(w * col))
 
 
-def energy_functional(u: FieldState) -> float:
-    """Double-well energy int 1/4 (u^2-1)^2 + 1/2 (grad u, grad u)_g dvol."""
+def energy_functional(u: FieldState,
+                      evaluation: Optional[List[np.ndarray]] = None) -> float:
+    """Double-well energy int 1/4 (u^2-1)^2 + 1/2 (grad u, grad u)_g dvol.
+
+    evaluation, when given, is TransformPlan.synthesise(u.coeffs).
+    """
     grid = u.grid
     plan = transform_plan(grid)
-    phys = plan.to_physical(u.coeffs)
-    pairp = plan.to_physical(gradient_pairing(u, u).coeffs)
+    phys, angular = evaluation or plan.synthesise(u.coeffs)
+    pairp = plan.to_physical(gradient_pairing(u, u, angular=angular).coeffs)
     dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * pairp
     L = float(grid.cs.circumference)
     radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
@@ -406,16 +443,26 @@ def _setup(config: RunConfig):
     return cs, spec, grid
 
 
-def _diagnostics_row(u: FieldState, step: int, spec: ExtensionSpec) -> dict:
-    return {
+def _diagnostics_row(u: FieldState, step: int,
+                     spec: ExtensionSpec) -> Tuple[dict, List[np.ndarray]]:
+    """The row of u, and the evaluation synthesise(u.coeffs) its energy used.
+
+    The evaluation is built after the norms, so its two arrays are never
+    alive together with the norms' derivative stacks.
+    """
+    mass = mass_functional(u)
+    norm0, norm2 = mellin_norms(u, 2, spec.gamma, u.p)
+    evaluation = transform_plan(u.grid).synthesise(u.coeffs)
+    row = {
         "step": step,
         "time": u.time,
-        "mass": mass_functional(u),
-        "energy": energy_functional(u),
+        "mass": mass,
+        "energy": energy_functional(u, evaluation),
         "supnorm": u.sup_norm(),
-        "norm0": mellin_norm(u, 0, spec.gamma, u.p),
-        "norm2": mellin_norm(u, 2, spec.gamma, u.p),
+        "norm0": norm0,
+        "norm2": norm2,
     }
+    return row, evaluation
 
 
 def run(config: RunConfig, initial: Optional[FieldState] = None,
@@ -444,11 +491,18 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
                       config.picard_iters, config.picard_tol)
     f = double_well if config.equation == "allen-cahn" else None
     snapshots = [u.copy()]
-    rows = [_diagnostics_row(u, 0, spec)] if diagnostics else []
+    rows = []
+
+    def record(u: FieldState, step: int):
+        row, evaluation = _diagnostics_row(u, step, spec)
+        rows.append(row)
+        # only the conserved step reuses the evaluation
+        return evaluation if config.equation == "cahn-hilliard" else None
+
+    evaluation = record(u, 0) if diagnostics else None
     for step in range(1, config.n_steps + 1):
-        u = stepper.step(u, f=f, forcing=forcing)
-        if diagnostics:
-            rows.append(_diagnostics_row(u, step, spec))
+        u = stepper.step(u, f=f, forcing=forcing, evaluation=evaluation)
+        evaluation = record(u, step) if diagnostics else None
         if step % config.snapshot_every == 0 or step == config.n_steps:
             snapshots.append(u.copy())
     return snapshots, rows

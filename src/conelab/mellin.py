@@ -16,7 +16,7 @@ exactly when a > gamma - (n+1)/2, strictly, regardless of l and p.
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -267,6 +267,16 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
         against dt dy and the outer term the plain volume integral of the
         same stack applied to (1 - omega) u.
     """
+    return mellin_norms(u, k, gamma, p, grid)[1]
+
+
+def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
+                 p: float = 2.0, grid: Optional[ConeGrid] = None) -> Tuple[float, float]:
+    """The order-0 and order-k norms of mellin_norm, from one pass.
+
+    The stack of every order starts with the order-0 term, so the
+    order-0 sum is the first partial sum of the order-k one.
+    """
     grid = grid or u.grid
     if gamma is None:
         gamma = u.gamma
@@ -281,12 +291,14 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
     sigma = 0.5 * (n + 1) - gamma
     tip_weight = np.exp(-p * sigma * grid.t)
     out_weight = np.exp(-(n + 1) * grid.t)
+    sums = []
     total = 0.0
     for w_tip, w_out in zip(_stack_terms(grid, om * u.coeffs, k),
                             _stack_terms(grid, (1.0 - om) * u.coeffs, k)):
         total += _trapezoid(tip_weight * _p_power_radial(grid, w_tip, p), grid.t)
         total += _trapezoid(out_weight * _p_power_radial(grid, w_out, p), grid.t)
-    return float(total ** (1.0 / p))
+        sums.append(total)
+    return float(sums[0] ** (1.0 / p)), float(total ** (1.0 / p))
 
 
 def membership_test(a: float, l: int, gamma: float, p: float, n: int) -> bool:

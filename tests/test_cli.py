@@ -154,3 +154,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["poles", "--config", ok, "--out", str(tmp_path / "o4")]) == 0
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("key,value", [("t_max", float("nan")),
+                                       ("T", float("inf")),
+                                       ("gamma", float("-inf")),
+                                       ("ic_amplitude", float("nan"))])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
+    # json writes and reads NaN and Infinity; they must not reach round()
+    # or the stepping as floats that pass every range test
+    path = _write_cfg(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^/{key}: expected a finite number$"):
+        parse_config(path)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error:\n/{key}: expected a finite number\n"

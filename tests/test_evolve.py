@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conelab import (ConeGrid, FieldState, PicardDivergenceError, RunConfig,
-                     Stepper, ac_step, ch_step, compatibility_check,
-                     constant_state, double_well, energy_functional,
-                     initial_state, mass_functional, run, wellposedness_smoke)
+                     Stepper, TransformPlan, ac_step, ch_step,
+                     compatibility_check, constant_state, double_well,
+                     energy_functional, evolve, initial_state,
+                     mass_functional, run, wellposedness_smoke)
 
 CFG = dict(j_max=8, t_max=3.0, delta_t=0.02)
 
@@ -144,6 +145,38 @@ def test_run_without_diagnostics_keeps_snapshots(grid8, spec8, equation):
     assert len(diags) == 11 and rows == []
     assert [s.time for s in bare] == [s.time for s in snaps]
     assert [s.coeffs.tobytes() for s in bare] == [s.coeffs.tobytes() for s in snaps]
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
+                                                   diagnostics):
+    # a row costs 5 transforms: the values, the angular and the radial
+    # derivative, and the pairing projected and synthesised again.  The
+    # next step takes the row's values and angular derivative for u^2 and
+    # its first sweep, which then only projects twice; a step given none
+    # synthesises both itself.  Later sweeps synthesise and project 2 + 2,
+    # and nothing is synthesised after the last step.
+    calls = {"transform": 0, "sweep": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TransformPlan, "to_physical",
+                        counted(TransformPlan.to_physical, "transform"))
+    monkeypatch.setattr(TransformPlan, "to_modes",
+                        counted(TransformPlan.to_modes, "transform"))
+    monkeypatch.setattr(evolve, "flux_divergence",
+                        counted(evolve.flux_divergence, "sweep"))
+    cfg = RunConfig(T=0.005, **CFG)
+    run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
+    steps, sweeps = cfg.n_steps, calls["sweep"]
+    assert sweeps >= steps
+    rows = 5 * (steps + 1) if diagnostics else 0
+    own = 0 if diagnostics else 2 * steps
+    assert calls["transform"] == rows + own + 2 * steps + 4 * (sweeps - steps)
 
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):

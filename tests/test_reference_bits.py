@@ -2,9 +2,10 @@
 
 The references below are the straightforward constructions: LIL-built
 matrices, scipy.linalg.solve_banded on freshly built bands, the dense
-angular-derivative matrix, per-mode CSR products and a snapshot CSV
-formatted one value at a time.  Every comparison
-is on tobytes(), so a flipped sign of zero fails as well.
+angular-derivative matrix, per-mode CSR products, the diagnostics
+functionals called on each state and a snapshot CSV formatted one value
+at a time.  Every comparison is on tobytes(), so a flipped sign of zero
+fails as well.
 """
 
 import gc
@@ -18,9 +19,9 @@ from scipy.linalg import solve_banded
 
 from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      assemble_laplacian, bilaplacian_suite, build_extension,
-                     default_weight, gradient_pairing, initial_state,
-                     laplacian_suite, make_circle, make_sphere, to_banded,
-                     transform_plan)
+                     default_weight, energy_functional, gradient_pairing,
+                     initial_state, laplacian_suite, make_circle, make_sphere,
+                     mellin_norm, to_banded, transform_plan)
 from conelab.assembly import apply_modewise
 from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import banded_lu, banded_solve, run
@@ -98,12 +99,17 @@ def test_laplacian_matches_lil_build(grid8, spec8, tall):
             assert _same_csr((P @ P).tocsr(), (ref @ ref).tocsr())
 
 
-def test_laplacian_drops_zero_entries_like_lil():
+def _zero_entry_case():
     # on S^2, spacing 2 makes the upper stencil weight 1/h^2 - (n-1)/(2h)
-    # vanish exactly; LIL stores no zeros and neither does the array build
+    # vanish exactly, so the stored rows are shorter than three entries
     cs = make_sphere(2, max_degree=3)
     spec = build_extension(cs, default_weight(cs), 2.0)
-    grid = ConeGrid(cs, 16.0, 8, j_max=3)
+    return ConeGrid(cs, 16.0, 8, j_max=3), spec
+
+
+def test_laplacian_drops_zero_entries_like_lil():
+    # LIL stores no zeros and neither does the array build
+    grid, spec = _zero_entry_case()
     for j in range(grid.j_max + 1):
         P = assemble_laplacian(j, grid, spec).matrix
         assert P.nnz < 3 * grid.n_nodes
@@ -174,16 +180,40 @@ def test_dtheta_matches_dense_product(grid8):
     assert plan.dtheta(co).tobytes() == ref.tobytes()
 
 
-def test_apply_modewise_matches_per_mode_product(grid8, spec8):
+def test_apply_modewise_matches_per_mode_product(grid8, spec8, tall):
+    # the whole-field operator, through apply_modewise and Stepper.laplace
     rng = np.random.default_rng(8)
-    co = rng.normal(size=(grid8.n_nodes, grid8.n_channels))
-    laps = laplacian_suite(grid8, spec8)
-    for ops in (laps, bilaplacian_suite(grid8, spec8, laps)):
-        ref = np.empty_like(co)
-        for j in range(grid8.j_max + 1):
-            cols = _mode_columns(grid8, j)
-            ref[:, cols] = ops[j].matrix @ co[:, cols]
-        assert apply_modewise(ops, co, grid8).tobytes() == ref.tobytes()
+    for grid, spec in ((grid8, spec8), tall, _zero_entry_case()):
+        co = rng.normal(size=(grid.n_nodes, grid.n_channels))
+        co[::4, 0] = -0.0
+        co[:, -1] = -0.0                          # -0.0 products, summed from +0
+        laps = laplacian_suite(grid, spec)
+        for ops in (laps, bilaplacian_suite(grid, spec, laps)):
+            ref = np.empty_like(co)
+            for j in range(grid.j_max + 1):
+                cols = _mode_columns(grid, j)
+                ref[:, cols] = ops[j].matrix @ co[:, cols]
+            assert np.signbit(ref[:, -1]).sum() == 0
+            got = [apply_modewise(ops, co, grid)]
+            if ops is laps and grid.cs.geometry == "circle":
+                got.append(Stepper(spec, grid, 1e-3).laplace(co))
+            for out in got:
+                assert out.flags.c_contiguous
+                assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
+def test_run_rows_match_diagnostics_functionals(grid8, spec8, equation):
+    cfg = RunConfig(j_max=8, t_max=3.0, delta_t=0.02, T=0.005, snapshot_every=1,
+                    equation=equation)
+    snaps, rows = run(cfg, context=(spec8, grid8))
+    assert len(snaps) == len(rows) == cfg.n_steps + 1
+    for snap, row in zip(snaps, rows):
+        want = {"energy": energy_functional(snap),
+                "norm0": mellin_norm(snap, 0, spec8.gamma, snap.p),
+                "norm2": mellin_norm(snap, 2, spec8.gamma, snap.p)}
+        for key, value in want.items():
+            assert float(row[key]).hex() == float(value).hex(), (row["step"], key)
 
 
 def test_gradient_pairing_with_itself_matches_two_slots(grid8, spec8):
