@@ -288,18 +288,34 @@ def gradient_pairing(u: FieldState, v: FieldState,
     grid = grid or u.grid
     if v.grid is not grid or u.grid is not grid:
         raise ValueError("gradient pairing needs both fields on one grid")
+    other = None if v is u else v.coeffs
+    return u.like(_pairing(grid, u.coeffs, angular, other))
+
+
+def _pairing(grid: ConeGrid, coeffs: np.ndarray, angular: Optional[np.ndarray],
+             other: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mode coefficients of the pairing of coeffs with other, or with itself.
+
+    angular is coeffs' angular derivative on the padded grid, or None;
+    it is only read.  The physical-grid products are formed in place.
+    """
     plan = transform_plan(grid)
     D = grid.radial_derivative_matrix()
-
-    def gradient(w: FieldState, angular=None):
-        if angular is None:
-            angular = plan.to_physical(plan.dtheta(w.coeffs))
-        return plan.to_physical(D @ w.coeffs), angular
-
-    ut, uy = gradient(u, angular)
-    vt, vy = (ut, uy) if v is u else gradient(v)
-    w = plan.to_modes(ut * vt + uy * vy) * np.exp(2.0 * grid.t)[:, np.newaxis]
-    return u.like(w)
+    if angular is None:
+        angular = plan.to_physical(plan.dtheta(coeffs))
+    pair = plan.to_physical(D @ coeffs)
+    if other is None:
+        pair *= pair
+        ang = angular * angular
+    else:
+        other_ang = plan.to_physical(plan.dtheta(other))
+        pair *= plan.to_physical(D @ other)
+        ang = angular * other_ang
+    pair += ang
+    del ang
+    out = plan.to_modes(pair)
+    out *= np.exp(2.0 * grid.t)[:, np.newaxis]
+    return out
 
 
 def cubic_field(u: FieldState) -> FieldState:

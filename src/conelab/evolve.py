@@ -36,13 +36,12 @@ import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from .assembly import (FieldOperator, cubic_field, flux_divergence,
-                       gradient_pairing, laplacian_suite, mode_slices,
-                       transform_plan)
+from .assembly import (FieldOperator, _pairing, cubic_field, flux_divergence,
+                       laplacian_suite, mode_slices, transform_plan)
 from .cross_section import make_circle
 from .extensions import ExtensionSpec, build_extension, default_weight
-from .mellin import (ConeGrid, FieldState, constant_state, mellin_norm,
-                     mellin_norms)
+from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
+                     mellin_norm, mellin_norms)
 
 EQUATIONS = ("cahn-hilliard", "allen-cahn")
 
@@ -373,12 +372,18 @@ def energy_functional(u: FieldState,
     grid = u.grid
     plan = transform_plan(grid)
     phys, angular = evaluation or plan.synthesise(u.coeffs)
-    pairp = plan.to_physical(gradient_pairing(u, u, angular=angular).coeffs)
-    dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * pairp
+    # evaluation is read only: the next conserved step consumes it
+    pairp = plan.to_physical(_pairing(grid, u.coeffs, angular))
+    dens = phys ** 2
+    dens -= 1.0
+    dens **= 2
+    dens *= 0.25
+    pairp *= 0.5
+    dens += pairp
+    del pairp
     L = float(grid.cs.circumference)
     radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapz(radial, grid.t))
+    return float(_trapezoid(radial, grid.t))
 
 
 def compatibility_check(u: FieldState, spec: ExtensionSpec,

@@ -201,7 +201,10 @@ class FieldState:
 
     def sup_norm(self) -> float:
         if self.grid.cs.nodes is not None:
-            return float(np.max(np.abs(self.physical_values()))) if self.coeffs.size else 0.0
+            if not self.coeffs.size:
+                return 0.0
+            vals = self.physical_values()
+            return float(np.max(np.abs(vals, out=vals)))
         return float(np.max(np.abs(self.coeffs)))
 
 
@@ -221,25 +224,40 @@ def constant_state(grid: ConeGrid, value: float = 1.0, **kw) -> FieldState:
     return u
 
 
-def _stack_terms(grid: ConeGrid, coeffs: np.ndarray, k: int):
-    """Yield the derivative stack D^i Lam^m coeffs for i + m <= k."""
+def _stack_sums(grid: ConeGrid, radial: np.ndarray, k: int, p: float):
+    """Yield the per-node |.|^p cross-section integral of each term
+    D^i Lam^m radial, i + m <= k, in the order i, then m.
+
+    radial may hold only the first R nodes of a field that is zero on the
+    rest, with R at least one past the last nonzero node of the order-k
+    term; the derivatives then go through D[:R, :R], which drops only
+    products with those zeros.  Every term and its power are formed in
+    one scratch buffer.
+    """
     D = grid.radial_derivative_matrix()
+    if radial.shape[0] < grid.n_nodes:
+        D = D[:radial.shape[0], :radial.shape[0]]
     mult = np.sqrt(np.maximum(-grid.channel_lams, 0.0))
-    radial = [coeffs]
-    for _ in range(k):
-        radial.append(D @ radial[-1])
+    powers = [mult ** m for m in range(1, k + 1)]
+    buf = np.empty_like(radial)
     for i in range(k + 1):
+        if i:
+            radial = D @ radial
         for m in range(k + 1 - i):
-            yield radial[i] * mult[np.newaxis, :] ** m if m else radial[i]
+            w = np.multiply(radial, powers[m - 1], out=buf) if m else radial
+            yield _p_power_radial(grid, w, p, buf)
 
 
-def _p_power_radial(grid: ConeGrid, w: np.ndarray, p: float) -> np.ndarray:
-    """Cross-section integral of |w|^p per radial node."""
+def _p_power_radial(grid: ConeGrid, w: np.ndarray, p: float,
+                    buf: np.ndarray) -> np.ndarray:
+    """Cross-section integral of |w|^p per radial node; buf is scratch
+    of w's shape, and may be w itself."""
     if p == 2.0:
-        return np.sum(w * w, axis=1)
+        return np.multiply(w, w, out=buf).sum(axis=1)
     vals = w @ grid.synthesis_matrix().T
-    qw = np.asarray(grid.cs.weights)
-    return np.abs(vals) ** p @ qw
+    np.abs(vals, out=vals)
+    vals **= p
+    return vals @ np.asarray(grid.cs.weights)
 
 
 def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
@@ -275,7 +293,11 @@ def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
     """The order-0 and order-k norms of mellin_norm, from one pass.
 
     The stack of every order starts with the order-0 term, so the
-    order-0 sum is the first partial sum of the order-k one.
+    order-0 sum is the first partial sum of the order-k one.  At p = 2
+    the outer stack is evaluated only on the cutoff's support (plus k + 1
+    nodes) and its per-node sums are zero-filled, which gives the same
+    bits; other p keep full-height products, since a BLAS product over a
+    few rows can round differently from the same rows of a taller one.
     """
     grid = grid or u.grid
     if gamma is None:
@@ -291,12 +313,19 @@ def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
     sigma = 0.5 * (n + 1) - gamma
     tip_weight = np.exp(-p * sigma * grid.t)
     out_weight = np.exp(-(n + 1) * grid.t)
+    # (1 - omega) u is zero past the cutoff's support and D^i widens that
+    # by i nodes; squares make the dropped signed zeros +0 at p = 2
+    rows = grid.n_nodes
+    if p == 2.0:
+        rows = min(rows, int(np.flatnonzero(grid.omega < 1.0)[-1]) + k + 2)
+    out_sums = np.zeros(grid.n_nodes)
     sums = []
     total = 0.0
-    for w_tip, w_out in zip(_stack_terms(grid, om * u.coeffs, k),
-                            _stack_terms(grid, (1.0 - om) * u.coeffs, k)):
-        total += _trapezoid(tip_weight * _p_power_radial(grid, w_tip, p), grid.t)
-        total += _trapezoid(out_weight * _p_power_radial(grid, w_out, p), grid.t)
+    for tip, outer in zip(_stack_sums(grid, om * u.coeffs, k, p),
+                          _stack_sums(grid, (1.0 - om[:rows]) * u.coeffs[:rows], k, p)):
+        total += _trapezoid(tip_weight * tip, grid.t)
+        out_sums[:rows] = outer
+        total += _trapezoid(out_weight * out_sums, grid.t)
         sums.append(total)
     return float(sums[0] ** (1.0 / p)), float(total ** (1.0 / p))
 

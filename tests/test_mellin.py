@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conelab import (ConeGrid, FieldState, constant_state, cutoff, make_circle,
                      mellin_norm, membership_test, monomial_state,
                      pointwise_bound_check)
+from conelab.mellin import _trapezoid, mellin_norms
 
 
 def test_cutoff_plateaus_and_smoothness():
@@ -58,6 +61,26 @@ def test_constant_state_physical_value(grid8):
     assert u.sup_norm() == pytest.approx(2.5)
 
 
+def test_norms_and_sup_norm_peak_allocation():
+    # a deterministic bound in place of a timing: the peak traced
+    # allocation, in coefficient-field arrays, on a CLI-default state
+    grid = ConeGrid(make_circle(2.0 * np.pi, max_mode=32), 12.0, 600, j_max=32)
+    rng = np.random.default_rng(4)
+    u = FieldState(grid, rng.normal(size=(grid.n_nodes, grid.n_channels)))
+
+    def peak(fn):
+        fn()                                    # fill the grid's caches
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / u.coeffs.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: mellin_norms(u, 2, -0.5)) <= 6.0
+    assert peak(u.sup_norm) <= 3.0
+
+
 def test_monomial_state_profile(grid8):
     u = monomial_state(grid8, 1.5, mode=2, branch=1, amplitude=0.7)
     col = u.channel(2, 1)
@@ -87,8 +110,8 @@ def test_norm_against_independent_quadrature(cs8):
     sigma = 0.5 * (n + 1) - gamma
     prof = np.exp(-a * grid.t) * np.sqrt(1.0)  # single channel coefficient
     om = grid.omega
-    tip = np.trapezoid(np.exp(-2.0 * sigma * grid.t) * (om * prof) ** 2, grid.t)
-    outer = np.trapezoid(np.exp(-(n + 1) * grid.t) * ((1 - om) * prof) ** 2, grid.t)
+    tip = _trapezoid(np.exp(-2.0 * sigma * grid.t) * (om * prof) ** 2, grid.t)
+    outer = _trapezoid(np.exp(-(n + 1) * grid.t) * ((1 - om) * prof) ** 2, grid.t)
     assert mellin_norm(u, 0, gamma) == pytest.approx(np.sqrt(tip + outer), rel=1e-12)
 
 

@@ -3,8 +3,9 @@
 The references below are the straightforward constructions: LIL-built
 matrices, scipy.linalg.solve_banded on freshly built bands, the dense
 angular-derivative matrix, per-mode CSR products, the diagnostics
-functionals called on each state and a snapshot CSV formatted one value
-at a time.  Every comparison is on tobytes(), so a flipped sign of zero
+functionals called on each state, the weighted norms, energy and sup
+norm formed full-height from fresh temporaries, and a snapshot CSV
+formatted one value at a time.  Every comparison is on tobytes(), so a flipped sign of zero
 fails as well.
 """
 
@@ -24,7 +25,8 @@ from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      mellin_norm, to_banded, transform_plan)
 from conelab.assembly import apply_modewise
 from conelab.cli import _fmt, _ser, _snapshot_text
-from conelab.evolve import banded_lu, banded_solve, run
+from conelab.evolve import _diagnostics_row, banded_lu, banded_solve, run
+from conelab.mellin import _trapezoid, mellin_norms
 
 
 def _lil_laplacian(j, grid, spec):
@@ -214,6 +216,108 @@ def test_run_rows_match_diagnostics_functionals(grid8, spec8, equation):
                 "norm2": mellin_norm(snap, 2, spec8.gamma, snap.p)}
         for key, value in want.items():
             assert float(row[key]).hex() == float(value).hex(), (row["step"], key)
+
+
+def _full_stack_terms(grid, coeffs, k):
+    D = grid.radial_derivative_matrix()
+    mult = np.sqrt(np.maximum(-grid.channel_lams, 0.0))
+    radial = [coeffs]
+    for _ in range(k):
+        radial.append(D @ radial[-1])
+    for i in range(k + 1):
+        for m in range(k + 1 - i):
+            yield radial[i] * mult[np.newaxis, :] ** m if m else radial[i]
+
+
+def _full_p_power_radial(grid, w, p):
+    if p == 2.0:
+        return np.sum(w * w, axis=1)
+    vals = w @ grid.synthesis_matrix().T
+    return np.abs(vals) ** p @ np.asarray(grid.cs.weights)
+
+
+def _full_mellin_norms(u, k, gamma, p):
+    # both stacks full-height, every term in a fresh array
+    grid = u.grid
+    n = grid.cs.n
+    om = grid.omega[:, np.newaxis]
+    tip_weight = np.exp(-p * (0.5 * (n + 1) - gamma) * grid.t)
+    out_weight = np.exp(-(n + 1) * grid.t)
+    sums = []
+    total = 0.0
+    for w_tip, w_out in zip(_full_stack_terms(grid, om * u.coeffs, k),
+                            _full_stack_terms(grid, (1.0 - om) * u.coeffs, k)):
+        total += _trapezoid(tip_weight * _full_p_power_radial(grid, w_tip, p), grid.t)
+        total += _trapezoid(out_weight * _full_p_power_radial(grid, w_out, p), grid.t)
+        sums.append(total)
+    return float(sums[0] ** (1.0 / p)), float(total ** (1.0 / p))
+
+
+def _plain_energy(u):
+    grid = u.grid
+    plan = transform_plan(grid)
+    phys = plan.to_physical(u.coeffs)
+    ut = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
+    uy = plan.to_physical(plan.dtheta(u.coeffs))
+    pair = plan.to_modes(ut * ut + uy * uy) * np.exp(2.0 * grid.t)[:, np.newaxis]
+    dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * plan.to_physical(pair)
+    L = float(grid.cs.circumference)
+    radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
+    return float(_trapezoid(radial, grid.t))
+
+
+def _plain_sup_norm(u):
+    return float(np.max(np.abs(u.coeffs @ u.grid.synthesis_matrix().T)))
+
+
+def _assert_diagnostics_match(u, gamma, ks=(2,), ps=(2.0,), row=None):
+    got = {"energy": energy_functional(u), "supnorm": u.sup_norm()}
+    want = {"energy": _plain_energy(u), "supnorm": _plain_sup_norm(u)}
+    for k in ks:
+        for p in ps:
+            got[k, p] = mellin_norms(u, k, gamma, p)
+            want[k, p] = _full_mellin_norms(u, k, gamma, p)
+    if row is not None:
+        got["row"] = [row[key] for key in ("energy", "supnorm", "norm0", "norm2")]
+        want["row"] = [want["energy"], want["supnorm"], *want[2, 2.0]]
+    hexed = {key: [float(v).hex() for v in np.atleast_1d(val)] for key, val in got.items()}
+    assert hexed == {key: [float(v).hex() for v in np.atleast_1d(val)]
+                     for key, val in want.items()}
+
+
+@pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
+def test_run_rows_match_full_height_references(spec8, tall, equation):
+    # the tall grid is the default t_max: 18 of 301 nodes carry the outer part
+    grid, spec = tall
+    cfg = RunConfig(j_max=8, t_max=12.0, delta_t=0.04, T=0.004, snapshot_every=1,
+                    equation=equation)
+    snaps, rows = run(cfg, context=(spec, grid))
+    assert len(snaps) == len(rows) == cfg.n_steps + 1
+    for snap, row in zip(snaps, rows):
+        _assert_diagnostics_match(snap, spec.gamma, row=row)
+
+
+def test_norms_energy_and_sup_norm_match_full_height_references(cs8, grid8, tall):
+    rng = np.random.default_rng(13)
+    grids = [grid8, tall[0],
+             ConeGrid(cs8, 0.5, 10, j_max=4),    # the cutoff's support covers every node
+             ConeGrid(cs8, 3.0, 60, j_max=1)]
+    assert np.all(grids[2].omega < 1.0)
+    for grid in grids:
+        for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5):
+            co = scale * rng.normal(size=(grid.n_nodes, grid.n_channels))
+            co *= np.exp(rng.uniform(-1.0, 1.0, size=grid.n_nodes))[:, None]
+            co[::3, 0] = -0.0
+            u = FieldState(grid, co)
+            _assert_diagnostics_match(u, -0.5, ks=range(5), ps=(2.0, 3.0))
+
+
+def test_diagnostics_row_leaves_its_evaluation_intact(grid8, spec8):
+    # the next conserved step consumes the evaluation the row returns
+    u = initial_state(RunConfig(j_max=8, t_max=3.0, delta_t=0.02), grid8, spec8)
+    _, evaluation = _diagnostics_row(u, 0, spec8)
+    fresh = transform_plan(grid8).synthesise(u.coeffs)
+    assert [a.tobytes() for a in evaluation] == [a.tobytes() for a in fresh]
 
 
 def test_gradient_pairing_with_itself_matches_two_slots(grid8, spec8):
