@@ -10,6 +10,13 @@ image decays at the leading admissible tip rate b_j.  The fourth-order
 operator is the literal matrix square, so applying it equals applying
 the Laplacian twice, including at the ends.
 
+Every mode's stencil is held in one stacked array (RadialOperator),
+together with the tip decay ratios, which are computed there once.  The
+whole-field operator (FieldOperator) and the implicit band rows of the
+stepper (evolve.implicit_bands) are built from it in whole-array
+arithmetic; a mode's CSR matrix (ModeOperator) is built only on demand,
+for the bilaplacian and the references the tests keep.
+
 The angular transform oversamples to at least 4 j_max + 5 physical
 points so that projecting a product of three band-limited factors back
 onto the retained modes is exact (plain 3/2 padding is not enough for
@@ -17,7 +24,7 @@ the cubic terms; see notes).
 """
 
 from dataclasses import InitVar, dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +66,64 @@ def _check_pair(grid: ConeGrid, spec: ExtensionSpec):
                          "run build_extension first")
 
 
+class RadialOperator:
+    """Every mode's radial Laplacian as one stacked three-point stencil.
+
+    vals[j, r, s] is the entry of row r of mode j's matrix in column
+    cols[r, s] = c - 1 + s, c = clip(r, 1, N - 1): row 0 copies row 1
+    (Neumann for the image) and row N is tip[j, 1] times row N - 1, so
+    both image rows reuse their neighbour's columns.  tip[j] holds the
+    tip decay ratios exp(-a_j dt) and exp(-b_j dt) of the fourth- and
+    second-order domains, computed here and nowhere else.  Indexing or
+    iterating yields each mode's ModeOperator, its CSR matrix built on
+    demand.
+    """
+
+    def __init__(self, grid: ConeGrid, spec: ExtensionSpec):
+        _check_pair(grid, spec)
+        nm = grid.j_max + 1
+        n = grid.cs.n
+        h = grid.dt
+        N = grid.n_radial
+        self.grid = grid
+        self.robin = np.array(spec.inner_bc[:nm], dtype=float)
+        self.tip = np.exp(-self.robin * h)
+        self.lams = np.array([float(grid.cs.eigenvalue(j)) for j in range(nm)])
+        e2t = np.exp(2.0 * grid.t)[1:N]
+        vals = np.empty((nm, N + 1, 3))
+        vals[:, 1:N, 0] = e2t * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
+        vals[:, 1:N, 1] = e2t * (-2.0 / h ** 2 + self.lams[:, np.newaxis])
+        vals[:, 1:N, 2] = e2t * (1.0 / h ** 2 - 0.5 * (n - 1) / h)
+        vals[:, 0] = vals[:, 1]
+        vals[:, N] = self.tip[:, 1, np.newaxis] * vals[:, N - 1]
+        self.vals = vals
+        self.cols = np.clip(np.arange(N + 1), 1, N - 1)[:, np.newaxis] + np.arange(-1, 2)
+
+    def tip_ratio(self, order: int) -> np.ndarray:
+        """Per-mode tip decay ratio of the domain of the given order (4 or 2)."""
+        return self.tip[:, 0 if order == 4 else 1]
+
+    def __len__(self) -> int:
+        return self.vals.shape[0]
+
+    def __getitem__(self, j: int) -> ModeOperator:
+        if not 0 <= j < len(self):
+            raise ValueError("mode index outside the grid truncation")
+        vals = self.vals[j]
+        # store no zeros, as LIL assembly did: the pattern fixes the order in
+        # which sparse products such as P @ P sum their terms
+        keep = vals != 0.0
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        m = vals.shape[0]
+        M = sp.csr_matrix((vals[keep], self.cols[keep], indptr), shape=(m, m))
+        a_j, b_j = self.robin[j].tolist()
+        return ModeOperator(grid=self.grid, mode=j, order=2, lam=float(self.lams[j]),
+                            robin_a=a_j, robin_b=b_j, matrix=M)
+
+    def __iter__(self) -> Iterator[ModeOperator]:
+        return (self[j] for j in range(len(self)))
+
+
 def assemble_laplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
     """Radial Laplacian for mode j with image extrapolation rows.
 
@@ -77,32 +142,7 @@ def assemble_laplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOpera
         exp(-b_j dt) times row N-1, so the image of a field satisfies
         the same outer-Neumann / tip-decay pattern as the field itself.
     """
-    _check_pair(grid, spec)
-    if not 0 <= j <= grid.j_max:
-        raise ValueError("mode index outside the grid truncation")
-    a_j, b_j = spec.inner_bc[j]
-    lam = float(grid.cs.eigenvalue(j))
-    n = grid.cs.n
-    h = grid.dt
-    N = grid.n_radial
-    e2t = np.exp(2.0 * grid.t)[1:N]
-    # row r holds the entries of columns c - 1, c, c + 1 with c clamped
-    # to the interior, so the two image rows reuse their neighbor's columns
-    vals = np.empty((N + 1, 3))
-    vals[1:N, 0] = e2t * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
-    vals[1:N, 1] = e2t * (-2.0 / h ** 2 + lam)
-    vals[1:N, 2] = e2t * (1.0 / h ** 2 - 0.5 * (n - 1) / h)
-    vals[0] = vals[1]
-    vals[N] = np.exp(-b_j * h) * vals[N - 1]
-    cols = np.clip(np.arange(N + 1), 1, N - 1)[:, np.newaxis] + np.arange(-1, 2)
-    # store no zeros, as LIL assembly did: the pattern fixes the order in
-    # which sparse products such as P @ P sum their terms
-    keep = vals != 0.0
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    M = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(N + 1, N + 1))
-    return ModeOperator(grid=grid, mode=j, order=2, lam=lam,
-                        robin_a=float(a_j), robin_b=float(b_j),
-                        matrix=M)
+    return RadialOperator(grid, spec)[j]
 
 
 def _squared(P: ModeOperator, grid: ConeGrid) -> ModeOperator:
@@ -117,15 +157,36 @@ def assemble_bilaplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOpe
     return _squared(assemble_laplacian(j, grid, spec), grid)
 
 
-def laplacian_suite(grid: ConeGrid, spec: ExtensionSpec) -> List[ModeOperator]:
-    return [assemble_laplacian(j, grid, spec) for j in range(grid.j_max + 1)]
+def laplacian_suite(grid: ConeGrid, spec: ExtensionSpec) -> RadialOperator:
+    return RadialOperator(grid, spec)
 
 
 def bilaplacian_suite(grid: ConeGrid, spec: ExtensionSpec,
-                      laplacians: Optional[List[ModeOperator]] = None) -> List[ModeOperator]:
+                      laplacians: Optional[Iterable[ModeOperator]] = None) -> List[ModeOperator]:
     if laplacians is None:
         laplacians = laplacian_suite(grid, spec)
     return [_squared(P, grid) for P in laplacians]
+
+
+def stacked_rows(ops: Iterable[ModeOperator]) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of per-mode CSR matrices, padded to one width, in stored order.
+
+    Returns (vals, cols) of shape (modes, nodes, width): entry s of row i
+    of mode j is vals[j, i, s] in column cols[j, i, s]; the padding is
+    zero, which the matrices do not store.
+    """
+    mats = [op.matrix for op in ops]
+    counts = np.array([np.diff(M.indptr) for M in mats])
+    flat = counts.ravel()
+    # slot of each stored entry within its row
+    slot = np.arange(flat.sum()) - np.repeat(np.cumsum(flat) - flat, flat)
+    row = np.repeat(np.arange(flat.size), flat)
+    vals = np.zeros((flat.size, int(counts.max())))
+    cols = np.zeros(vals.shape, dtype=mats[0].indices.dtype)
+    vals[row, slot] = np.concatenate([M.data for M in mats])
+    cols[row, slot] = np.concatenate([M.indices for M in mats])
+    shape = counts.shape + vals.shape[1:]
+    return vals.reshape(shape), cols.reshape(shape)
 
 
 def mode_slices(grid: ConeGrid) -> List[slice]:
@@ -137,18 +198,21 @@ def mode_slices(grid: ConeGrid) -> List[slice]:
 class FieldOperator:
     """One radial operator per mode, applied to every channel in one sparse product.
 
-    The matrix is block diagonal in the node-major order
-    (node i, mode j) -> i (j_max + 1) + j and holds each mode's matrix
-    once; a mode's channels are its right-hand-side columns, padded to
-    the largest multiplicity (on a circle, the cos/sin pair, with one
-    padding column for mode 0).  Row (i, j) keeps the entries of row i
-    of mode j's matrix in their stored order and the product sums them
-    from zero, exactly as the per-mode CSR product does, so the result
-    is the same bits.
+    Built from stacked rows: vals[j, i, s] is entry s of row i of mode
+    j's matrix, in column cols[..., i, s] (cols broadcasts against vals),
+    and zeros are not stored.  The matrix is block diagonal in the
+    node-major order (node i, mode j) -> i (j_max + 1) + j and holds each
+    mode's matrix once; a mode's channels are its right-hand-side columns,
+    padded to the largest multiplicity (on a circle, the cos/sin pair,
+    with one padding column for mode 0).  Row (i, j) keeps the entries of
+    row i of mode j's matrix in their stored order and the product sums
+    them from zero, exactly as the per-mode CSR product does, so the
+    result is the same bits.  The padded input is one buffer owned by the
+    operator, whose padding columns are never written.
     """
 
-    def __init__(self, ops: List[ModeOperator], grid: ConeGrid):
-        n, nm = grid.n_nodes, len(ops)
+    def __init__(self, vals: np.ndarray, cols: np.ndarray, grid: ConeGrid):
+        n, nm = grid.n_nodes, vals.shape[0]
         mult = np.bincount(grid.channel_modes, minlength=nm)
         self.width = int(mult.max())
         # channel (j, k) sits in the last mult[j] columns of mode j's block;
@@ -158,31 +222,38 @@ class FieldOperator:
         self._cols = (slice(pos[0], pos[0] + pos.size)
                       if np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size))
                       else pos)
-        self._padded = (n, nm * self.width)
-        counts = np.array([np.diff(op.matrix.indptr) for op in ops])
-        indptr = np.concatenate(([0], np.cumsum(counts.T.ravel())))
-        data = np.empty(indptr[-1])
-        cols = np.empty(indptr[-1], dtype=ops[0].matrix.indices.dtype)
-        for j, op in enumerate(ops):
-            M = op.matrix
-            # entry s of row i of mode j goes to indptr[i nm + j] + s
-            dest = np.repeat(indptr[j:-1:nm] - M.indptr[:-1], counts[j])
-            dest += np.arange(M.nnz)
-            data[dest] = M.data
-            cols[dest] = M.indices * nm + j
-        self.matrix = sp.csr_matrix((data, cols, indptr), shape=(n * nm, n * nm))
+        self._x = np.zeros((n, nm * self.width))
+        # the node-major rows are the mode-major ones transposed, copied in
+        # C order so that the masked gathers run on contiguous arrays; each
+        # copy is freed once gathered, which bounds the build's peak memory
+        node_vals = vals.transpose(1, 0, 2).copy()
+        keep = node_vals != 0.0
+        data = node_vals[keep]
+        del node_vals
+        node_cols = np.empty(keep.shape, dtype=np.intp)
+        np.multiply(np.broadcast_to(cols, vals.shape).transpose(1, 0, 2), nm, out=node_cols)
+        node_cols += np.arange(nm)[:, np.newaxis]
+        indices = node_cols[keep]
+        del node_cols
+        # summed slice by slice: a reduction over the short last axis is
+        # several times slower
+        counts = np.zeros(keep.shape[:2], dtype=np.intp)
+        for s in range(keep.shape[2]):
+            counts += keep[:, :, s]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(n * nm, n * nm))
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        x = np.zeros(self._padded)
+        x = self._x
         x[:, self._cols] = coeffs
         y = self.matrix @ x.reshape(-1, self.width)
-        return np.ascontiguousarray(y.reshape(self._padded)[:, self._cols])
+        return np.ascontiguousarray(y.reshape(self._x.shape)[:, self._cols])
 
 
-def apply_modewise(ops: List[ModeOperator], coeffs: np.ndarray,
+def apply_modewise(ops: Iterable[ModeOperator], coeffs: np.ndarray,
                    grid: ConeGrid) -> np.ndarray:
     """Apply one radial operator per mode across all channels."""
-    return FieldOperator(ops, grid).apply(coeffs)
+    return FieldOperator(*stacked_rows(ops), grid).apply(coeffs)
 
 
 def apply_operator(u: FieldState, ops: List[ModeOperator]) -> FieldState:
@@ -384,8 +455,8 @@ def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,
     grid = grid or u.grid
     plan = transform_plan(grid)
     laps = laplacian_suite(grid, spec)
-    lap = FieldOperator(laps, grid)
-    bil = FieldOperator(bilaplacian_suite(grid, spec, laps), grid)
+    lap = FieldOperator(laps.vals, laps.cols, grid)
+    bil = FieldOperator(*stacked_rows(bilaplacian_suite(grid, spec, laps)), grid)
     u_phys = plan.to_physical(u.coeffs)
     u2_phys = u_phys ** 2
 

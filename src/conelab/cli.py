@@ -328,16 +328,28 @@ def _cmd_simulate(cfg: CliConfig, out: str) -> int:
     _write_csv(os.path.join(out, "diagnostics.csv"), header, rows)
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
+    template = _snapshot_template(snaps[0].grid)
     for i, snap in enumerate(snaps):
         _write_text(os.path.join(snap_dir, f"snap_{i:04d}.csv"),
-                    _snapshot_text(snap))
+                    _snapshot_text(snap, template))
     return 0
 
 
-def _snapshot_text(snap) -> str:
+def _snapshot_template(grid) -> str:
+    """The '%'-template of a snapshot's rows on grid, one per node and channel.
+
+    The node and channel prefixes are filled in; each row leaves one
+    "%.17g" for its coefficient, channel by channel.
+    """
+    t_nodes = ["%.17g" % t for t in grid.t.tolist()]
+    return "".join(f"{t},{j},{k},%.17g\n" for j, k in grid.channels for t in t_nodes)
+
+
+def _snapshot_text(snap, template: Optional[str] = None) -> str:
     """The snapshot CSV: a '# {meta}' line, a header, one row per node and channel.
 
     Floats use _fmt's "%.17g", so the bytes match the per-value format.
+    template is _snapshot_template(snap.grid), built here when not given.
     """
     grid = snap.grid
     meta = {
@@ -349,13 +361,10 @@ def _snapshot_text(snap) -> str:
         "p": snap.p,
         "channels": [[j, k] for j, k in grid.channels],
     }
-    lines = ["# " + _ser(meta), "t_node,mode,branch,coefficient"]
-    t_nodes = ["%.17g" % t for t in grid.t.tolist()]
-    for c, (j, k) in enumerate(grid.channels):
-        mid = f",{j},{k},"
-        lines += [t + mid + "%.17g" % v
-                  for t, v in zip(t_nodes, snap.coeffs[:, c].tolist())]
-    return "\n".join(lines) + "\n"
+    if template is None:
+        template = _snapshot_template(grid)
+    rows = template % tuple(snap.coeffs.T.ravel().tolist())
+    return "# " + _ser(meta) + "\nt_node,mode,branch,coefficient\n" + rows
 
 
 def _cmd_norms(cfg: CliConfig, out: str) -> int:

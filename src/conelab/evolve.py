@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from .assembly import (FieldOperator, _pairing, cubic_field, flux_divergence,
-                       laplacian_suite, mode_slices, transform_plan)
+from .assembly import (FieldOperator, RadialOperator, _pairing, cubic_field,
+                       flux_divergence, laplacian_suite, mode_slices,
+                       transform_plan)
 from .cross_section import make_circle
 from .extensions import ExtensionSpec, build_extension, default_weight
 from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
@@ -164,11 +164,79 @@ def banded_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def implicit_bands(laps: RadialOperator, dt: float,
+                   order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-scaled band rows of every mode's constrained implicit system.
+
+    Returns (R, d): R[j, i, kl + k] is entry (i, i + k) of mode j's
+    system, I + dt (P^2 + P) with kl = 2 for order 4 and I - dt P with
+    kl = 1 for order 2, with rows 0 and N replaced by the constraint
+    rows and row i scaled by d[j, i].  R is a view of one array that
+    holds each band diagonal contiguously.  The arithmetic is that of
+    the sparse route, I + dt (P @ P + P) on the CSR matrices: each entry
+    of a row of P @ P sums P[r, jj] P[jj, :] from +0.0 over jj = r - 1,
+    r, r + 1 in that order, and an entry off the diagonal is 0 + x.
+    """
+    P = laps.vals
+    nm, m, _ = P.shape
+    N = m - 1
+    kl = 2 if order == 4 else 1
+    # D[j, kl + k, i] = entry (i, i + k) of mode j's system
+    D = np.zeros((nm, 2 * kl + 1, m))
+    if order == 4:
+        prod = np.empty((nm, N - 1))
+        for s in range(3):
+            # rows r whose neighbour jj = r - 1 + s is interior: its columns
+            # jj - 1 .. jj + 1 sit at band offsets s - 2 .. s
+            lo, hi = (2 if s == 0 else 1), (N - 1 if s == 2 else N)
+            tmp = prod[:, :hi - lo]
+            for q in range(3):
+                np.multiply(P[:, lo:hi, s], P[:, lo - 1 + s:hi - 1 + s, q], out=tmp)
+                D[:, s + q, lo:hi] += tmp
+            # the image rows hold their neighbour's columns: 0 .. 2 for
+            # row 0, reached from row 1, and N - 2 .. N for row N, from N - 1
+            if s == 0:
+                D[:, 1:4, 1] += P[:, 1, 0, np.newaxis] * P[:, 0]
+            elif s == 2:
+                D[:, 1:4, N - 1] += P[:, N - 1, 2, np.newaxis] * P[:, N]
+        del prod, tmp
+        for s in range(3):
+            D[:, 1 + s, 1:N] += P[:, 1:N, s]
+        D *= dt
+        D += 0.0                    # 0 + x turns a -0.0 into +0.0
+    else:
+        for s in range(3):
+            np.multiply(P[:, 1:N, s], dt, out=D[:, s, 1:N])
+        np.subtract(0.0, D, out=D)  # 0 - x, never -0.0
+    D[:, kl] += 1.0
+    # the end rows, the only ones reaching past the band, become the
+    # constraint rows
+    D[:, :, 0] = 0.0
+    D[:, kl, 0] = 1.0
+    D[:, kl + 1, 0] = -1.0
+    D[:, :, N] = 0.0
+    D[:, kl - 1, N] = -laps.tip_ratio(order)
+    D[:, kl, N] = 1.0
+    # row equilibration by exact powers of two: the e^(4t) dynamic
+    # range otherwise costs the banded LU ~14 digits, which stalls
+    # the Picard iteration on solver rounding noise; power-of-two
+    # scales keep zero right-hand sides bitwise zero
+    rowmax = np.abs(D[:, 0])
+    for k in range(1, 2 * kl + 1):
+        np.maximum(rowmax, np.abs(D[:, k]), out=rowmax)
+    d = np.exp2(-np.round(np.log2(rowmax)))
+    D *= d[:, np.newaxis]
+    return D.transpose(0, 2, 1), d
+
+
 class Stepper:
     """Operators and factored implicit systems for one (spec, grid, dt).
 
-    Each mode's system is factored once, here: banded LU for the
-    pentadiagonal conserved-flow system, tridiagonal LU for the
+    Every mode's Laplacian comes from one stacked three-point stencil
+    (assembly.RadialOperator), which also gives the whole-field operator
+    and, through implicit_bands, every mode's band rows in whole-array
+    arithmetic.  Each mode's system is factored once, here: banded LU for
+    the pentadiagonal conserved-flow system, tridiagonal LU for the
     relaxational one (the LAPACK routines solve_banded would call).
     """
 
@@ -185,51 +253,23 @@ class Stepper:
         self.picard_tol = picard_tol
         self.plan = transform_plan(grid)
         laps = laplacian_suite(grid, spec)
-        self.lap = FieldOperator(laps, grid)
+        self.lap = FieldOperator(laps.vals, laps.cols, grid)
         order = 4 if equation == "cahn-hilliard" else 2
-        exps = np.array([laps[j].robin_a if order == 4 else laps[j].robin_b
-                         for j in grid.channel_modes.tolist()])
-        self.tip_ratio = np.exp(-exps * grid.dt)
+        modes = grid.channel_modes
+        self.tip_ratio = laps.tip_ratio(order)[modes]
+        R, d = implicit_bands(laps, self.dt, order)
+        del laps                    # the stencil is not kept past the build
         self._modes = mode_slices(grid)
-        self._row_scale = np.empty((grid.n_nodes, grid.n_channels))
-        self._factors = []
-        for j, cols in enumerate(self._modes):
-            d, factors = self._factor(j, laps[j].matrix, self.tip_ratio[cols.start], order)
-            self._row_scale[:, cols] = d[:, np.newaxis]
-            self._factors.append(factors)
+        self._factors = [self._factor(j, rows) for j, rows in enumerate(R)]
+        del R
+        self._row_scale = np.take(d.T, modes, axis=1)
 
-    def _factor(self, j: int, P: sp.csr_matrix, ratio: float,
-                order: int) -> Tuple[np.ndarray, tuple]:
-        """Row scale and LU factors of mode j's constrained system.
-
-        P is the mode's Laplacian and ratio its tip decay ratio.
-        """
-        m = self.grid.n_nodes
-        eye = sp.identity(m, format="csr")
-        if order == 4:
-            A = eye + self.dt * (P @ P + P)
-            kl = 2
-        else:
-            A = eye - self.dt * P
-            kl = 1
-        # R[i, kl + k] = A[i, i + k]; the end rows, the only ones reaching
-        # past the band, become the constraint rows
-        R = np.zeros((m, 2 * kl + 1))
-        for k in range(-kl, kl + 1):
-            R[max(0, -k):m - max(0, k), kl + k] = A.diagonal(k)
-        R[0] = 0.0
-        R[0, kl:kl + 2] = 1.0, -1.0
-        R[-1] = 0.0
-        R[-1, kl - 1:kl + 1] = -ratio, 1.0
-        # row equilibration by exact powers of two: the e^(4t) dynamic
-        # range otherwise costs the banded LU ~14 digits, which stalls
-        # the Picard iteration on solver rounding noise; power-of-two
-        # scales keep zero right-hand sides bitwise zero
-        d = np.exp2(-np.round(np.log2(np.abs(R).max(axis=1))))
-        R *= d[:, np.newaxis]
-        if not np.all(np.isfinite(R)):
+    @staticmethod
+    def _factor(j: int, rows: np.ndarray) -> tuple:
+        """LU factors of mode j's band rows from implicit_bands."""
+        if not np.all(np.isfinite(rows)):
             raise ValueError(f"implicit system of mode {j} is not finite")
-        return d, banded_lu(R)
+        return banded_lu(rows)
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
         return self.lap.apply(coeffs)
@@ -400,9 +440,7 @@ def compatibility_check(u: FieldState, spec: ExtensionSpec,
     norm = mellin_norm(u, 2, gamma, u.p)
     if not np.isfinite(norm):
         raise ValueError("initial data has no finite order-2 norm")
-    exps = np.array([spec.inner_bc[j][0 if order == 4 else 1]
-                     for j in grid.channel_modes.tolist()])
-    ratio = np.exp(-exps * grid.dt)
+    ratio = RadialOperator(grid, spec).tip_ratio(order)[grid.channel_modes]
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
     res = float(np.max(np.abs(u.coeffs[-1, :] - ratio * u.coeffs[-2, :]))) / scale
     outer = float(np.max(np.abs(u.coeffs[0, :] - u.coeffs[1, :]))) / scale

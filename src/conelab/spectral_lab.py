@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import assemble_laplacian
+from .assembly import RadialOperator
 from .extensions import ExtensionSpec
 from .mellin import ConeGrid
 
@@ -203,12 +203,12 @@ def symmetrized_laplacian(grid: ConeGrid, spec: ExtensionSpec, mode: int = 0) ->
     conjugation is an exact symmetrizer for n = 1; the averaging removes
     the leftover skew in other dimensions.
     """
-    op = assemble_laplacian(mode, grid, spec)
-    full = op.matrix.toarray()
+    lap = RadialOperator(grid, spec)
+    full = lap[mode].matrix.toarray()
     N = grid.n_radial
     T = full[1:N, 1:N].copy()
     T[0, 0] += full[1, 0]
-    T[-1, -1] += np.exp(-op.robin_b * grid.dt) * full[N - 1, N]
+    T[-1, -1] += lap.tip_ratio(2)[mode] * full[N - 1, N]
     w = np.exp(-grid.t[1:N])
     Ts = (w[:, np.newaxis] * T) / w[np.newaxis, :]
     return -0.5 * (Ts + Ts.T)

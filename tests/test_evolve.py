@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conelab import (ConeGrid, FieldState, PicardDivergenceError, RunConfig,
                      Stepper, TransformPlan, ac_step, ch_step,
-                     compatibility_check, constant_state, double_well,
-                     energy_functional, evolve, initial_state,
-                     mass_functional, run, wellposedness_smoke)
+                     build_extension, compatibility_check, constant_state,
+                     default_weight, double_well, energy_functional, evolve,
+                     initial_state, make_circle, mass_functional, run,
+                     wellposedness_smoke)
 from conelab.mellin import _trapezoid
 
 CFG = dict(j_max=8, t_max=3.0, delta_t=0.02)
@@ -178,6 +181,42 @@ def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
     rows = 5 * (steps + 1) if diagnostics else 0
     own = 0 if diagnostics else 2 * steps
     assert calls["transform"] == rows + own + 2 * steps + 4 * (sweeps - steps)
+
+
+@pytest.fixture(scope="module")
+def default_context():
+    cs = make_circle(2.0 * np.pi, max_mode=32)
+    spec = build_extension(cs, default_weight(cs), 2.0)
+    return spec, ConeGrid(cs, 12.0, 600, j_max=32)
+
+
+def _peak_fields(fn, grid):
+    """Peak traced allocation of fn(), in coefficient-field arrays of grid."""
+    fn()                                        # fill the grid's caches
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * grid.n_nodes * grid.n_channels)
+
+
+def test_stepper_build_peak_allocation(default_context):
+    # a deterministic bound in place of a timing, on the CLI-default grid:
+    # every mode's band rows are alive at once, so a full-size temporary
+    # on top of them would show
+    spec, grid = default_context
+    assert _peak_fields(lambda: Stepper(spec, grid, 1e-3), grid) <= 11.0
+
+
+def test_laplace_peak_allocation(default_context):
+    # the padded input is the operator's own buffer: a call allocates only
+    # the sparse product and the contiguous result
+    spec, grid = default_context
+    stepper = Stepper(spec, grid, 1e-3)
+    co = np.random.default_rng(6).normal(size=(grid.n_nodes, grid.n_channels))
+    assert _peak_fields(lambda: stepper.laplace(co), grid) <= 2.1
 
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):

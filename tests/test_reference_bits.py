@@ -1,20 +1,25 @@
 """Fast paths against the plain forms they replace, bit for bit.
 
 The references below are the straightforward constructions: LIL-built
-matrices, scipy.linalg.solve_banded on freshly built bands, the dense
-angular-derivative matrix, per-mode CSR products, the diagnostics
+matrices, scipy.linalg.solve_banded and banded_lu on bands built by
+sparse algebra, the whole-field CSR matrix assembled mode by mode, the
+dense angular-derivative matrix, per-mode CSR products, the diagnostics
 functionals called on each state, the weighted norms, energy and sup
 norm formed full-height from fresh temporaries, and a snapshot CSV
 formatted one value at a time.  Every comparison is on tobytes(), so a flipped sign of zero
 fails as well.
 """
 
+import copy
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
@@ -23,9 +28,11 @@ from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      default_weight, energy_functional, gradient_pairing,
                      initial_state, laplacian_suite, make_circle, make_sphere,
                      mellin_norm, to_banded, transform_plan)
-from conelab.assembly import apply_modewise
+from conelab.assembly import (FieldOperator, RadialOperator, apply_modewise,
+                              stacked_rows)
 from conelab.cli import _fmt, _ser, _snapshot_text
-from conelab.evolve import _diagnostics_row, banded_lu, banded_solve, run
+from conelab.evolve import (EQUATIONS, _diagnostics_row, banded_lu, banded_solve,
+                            implicit_bands, run)
 from conelab.mellin import _trapezoid, mellin_norms
 
 
@@ -78,17 +85,69 @@ def _mode_columns(grid, j):
     return np.nonzero(grid.channel_modes == j)[0]
 
 
+def _band_rows(ab, kl):
+    """banded_lu's rows R[i, kl + k] = A[i, i + k] from solve_banded's bands."""
+    m = ab.shape[1]
+    R = np.zeros((m, 2 * kl + 1))
+    for k in range(-kl, kl + 1):
+        R[max(0, -k):m - max(0, k), kl + k] = ab[kl - k, max(0, k):m + min(0, k)]
+    return R
+
+
+def _per_mode_field_csr(mats, grid):
+    """The whole-field CSR matrix, filled in mode by mode from per-mode CSR matrices."""
+    n, nm = grid.n_nodes, len(mats)
+    counts = np.array([np.diff(M.indptr) for M in mats])
+    indptr = np.concatenate(([0], np.cumsum(counts.T.ravel())))
+    data = np.empty(indptr[-1])
+    cols = np.empty(indptr[-1], dtype=mats[0].indices.dtype)
+    for j, M in enumerate(mats):
+        # entry s of row i of mode j goes to indptr[i nm + j] + s
+        dest = np.repeat(indptr[j:-1:nm] - M.indptr[:-1], counts[j])
+        dest += np.arange(M.nnz)
+        data[dest] = M.data
+        cols[dest] = M.indices * nm + j
+    return sp.csr_matrix((data, cols, indptr), shape=(n * nm, n * nm))
+
+
 def _same_csr(a, b):
     return (a.shape == b.shape
             and a.data.tobytes() == b.data.tobytes()
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.indptr, b.indptr))
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.indptr.tobytes() == b.indptr.tobytes())
 
 
 @pytest.fixture(scope="module")
 def tall(cs8, spec8):
     # the default grid's t_max, where the rows span ~e^(4t) and pivots move
     return ConeGrid(cs8, 12.0, 300, j_max=8), spec8
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_spec(j_max):
+    cs = make_circle(2.0 * np.pi, max_mode=j_max)
+    return cs, build_extension(cs, default_weight(cs), 2.0)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    # the benchmark's large grid: 129 modes, 1201 nodes
+    cs, spec = _circle_spec(128)
+    return ConeGrid(cs, 12.0, 1200, j_max=128), spec
+
+
+def _assert_stepper_matches_lil_bands(st, order):
+    """Tip ratios, row scales and every LU factor of st against the sparse route."""
+    grid, spec = st.grid, st.spec
+    exps = np.array([spec.inner_bc[j][0 if order == 4 else 1]
+                     for j in grid.channel_modes.tolist()])
+    assert st.tip_ratio.tobytes() == np.exp(-exps * grid.dt).tobytes()
+    for j, ((kl, _), ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
+        want = banded_lu(_band_rows(ab, kl))
+        assert [f.tobytes() for f in st._factors[j]] == [f.tobytes() for f in want], j
+        cols = _mode_columns(grid, j)
+        scale = np.repeat(d[:, None], cols.size, axis=1)
+        assert st._row_scale[:, cols].tobytes() == scale.tobytes(), j
 
 
 def test_laplacian_matches_lil_build(grid8, spec8, tall):
@@ -134,6 +193,61 @@ def test_factored_solve_matches_solve_banded(grid8, spec8, tall, equation, order
             scale = np.repeat(d[:, None], cols.size, axis=1)
             assert st._row_scale[:, cols].tobytes() == scale.tobytes()
         assert st._solve(rhs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("equation,order", [("cahn-hilliard", 4),
+                                            ("allen-cahn", 2)])
+def test_lu_factors_and_row_scales_match_lil_bands(grid8, spec8, tall, wide,
+                                                   equation, order):
+    cs1, spec1 = _circle_spec(1)
+    for grid, spec in ((grid8, spec8), tall, wide, (ConeGrid(cs1, 3.0, 60, j_max=1), spec1)):
+        _assert_stepper_matches_lil_bands(Stepper(spec, grid, 1e-3, equation), order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t_max=strat.floats(1.0, 12.0), n_radial=strat.integers(8, 200),
+       j_max=strat.integers(1, 16), dt=strat.sampled_from([1e-3, 1e-2]),
+       flow=strat.sampled_from([("cahn-hilliard", 4), ("allen-cahn", 2)]))
+def test_stepper_matches_lil_bands_on_circle_grids(t_max, n_radial, j_max, dt, flow):
+    cs, spec = _circle_spec(j_max)
+    grid = ConeGrid(cs, t_max, n_radial, j_max=j_max)
+    equation, order = flow
+    _assert_stepper_matches_lil_bands(Stepper(spec, grid, dt, equation), order)
+
+
+@pytest.mark.parametrize("order", [4, 2])
+def test_implicit_bands_match_lil_bands_with_zero_entries(order):
+    # Stepper rejects spheres, so the band builder is called directly
+    grid, spec = _zero_entry_case()
+    R, d = implicit_bands(RadialOperator(grid, spec), 1e-3, order)
+    for j, ((kl, _), ab, dj) in enumerate(_lil_bands(grid, spec, 1e-3, order)):
+        assert R[j].tobytes() == _band_rows(ab, kl).tobytes()
+        assert d[j].tobytes() == dj.tobytes()
+
+
+def test_field_operator_matches_per_mode_build(grid8, spec8, tall):
+    for grid, spec in ((grid8, spec8), tall, _zero_entry_case()):
+        laps = laplacian_suite(grid, spec)
+        lil = [_lil_laplacian(j, grid, spec) for j in range(grid.j_max + 1)]
+        ref = _per_mode_field_csr(lil, grid)
+        got = [FieldOperator(laps.vals, laps.cols, grid).matrix,
+               FieldOperator(*stacked_rows(laps), grid).matrix]
+        if grid.cs.geometry == "circle":
+            got.append(Stepper(spec, grid, 1e-3).lap.matrix)
+        assert all(_same_csr(M, ref) for M in got)
+        squares = [(P @ P).tocsr() for P in lil]
+        bil = FieldOperator(*stacked_rows(bilaplacian_suite(grid, spec, laps)), grid)
+        assert _same_csr(bil.matrix, _per_mode_field_csr(squares, grid))
+
+
+@pytest.mark.parametrize("equation", EQUATIONS)
+def test_stepper_names_the_mode_of_a_nonfinite_system(grid8, spec8, equation):
+    spec = copy.copy(spec8)
+    spec.inner_bc = list(spec8.inner_bc)
+    spec.inner_bc[2] = (-1e6, -1e6)               # exp(-a dt) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="implicit system of mode 2 is not finite"):
+            Stepper(spec, grid8, 1e-3, equation)
 
 
 @pytest.mark.parametrize("kl", [1, 2])
