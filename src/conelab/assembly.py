@@ -389,11 +389,16 @@ def _pairing(grid: ConeGrid, coeffs: np.ndarray, angular: Optional[np.ndarray],
     return out
 
 
-def cubic_field(u: FieldState) -> FieldState:
-    """Mode coefficients of u^3 via the dealiased physical grid."""
+def cubic_field(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
+    """Mode coefficients of u^3 via the dealiased physical grid.
+
+    values, when given, is u on the padded physical grid
+    (TransformPlan.to_physical(u.coeffs)) and is not synthesised again.
+    """
     plan = transform_plan(u.grid)
-    vals = plan.to_physical(u.coeffs)
-    return u.like(plan.to_modes(vals ** 3))
+    if values is None:
+        values = plan.to_physical(u.coeffs)
+    return u.like(plan.to_modes(values ** 3))
 
 
 def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray, grid: ConeGrid,

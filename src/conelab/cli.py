@@ -220,6 +220,8 @@ def parse_config(path: Optional[str]) -> CliConfig:
         errors.append("/dt: must divide the horizon T")
     if radial_intervals(cfg.t_max, cfg.delta_t) < 8:
         errors.append("/delta_t: must divide t_max into >= 8 intervals")
+    if cfg.lab_mode > cfg.j_max:
+        errors.append("/lab_mode: must not exceed j_max")
     if cfg.gamma is not None:
         cs = _cross_section(cfg)
         lo, hi = admissible_window(cs)
@@ -397,9 +399,11 @@ def _cmd_lab(cfg: CliConfig, out: str) -> int:
 
 def _cmd_asympt(cfg: CliConfig, out: str) -> int:
     _require_circle(cfg, "asympt")
-    snaps, _ = run(cfg.to_run_config(), diagnostics=False)
+    config = cfg.to_run_config()
+    cs, spec = _build_spec(cfg)
+    grid = ConeGrid(cs, config.t_max, config.n_radial, j_max=config.j_max)
+    snaps, _ = run(config, context=(spec, grid), diagnostics=False)
     final = snaps[-1]
-    _, spec = _build_spec(cfg)
     rows = []
     for j in range(final.grid.j_max + 1):
         try:

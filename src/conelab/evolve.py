@@ -18,14 +18,17 @@ the right-hand side vanishes identically (the stiff term is applied as
 two successive Laplacian applications, which annihilate constants in
 floating point) and the solve returns delta = 0 bitwise.
 
-Each state of a conserved run is synthesised once:
-TransformPlan.synthesise gives its values and angular derivative on the
-padded physical grid.  The diagnostics row builds them for the energy,
-after the norms, and run hands them to the next step.  The step takes
-u_n^2 from them and runs its first Picard sweep on them, since that
-sweep is at delta = 0 and w + 0 synthesises to the bits of w; then it
-frees them.  A step given nothing synthesises its state itself, so a
-run without diagnostics synthesises nothing after its last step.
+Each state of a run is synthesised once: TransformPlan.synthesise
+gives its values and angular derivative on the padded physical grid,
+the only angular grid a diagnostics row uses.  The row builds them after
+the norms, integrates the energy density on them and takes the sup norm
+as the largest |value|; run then hands them to the next step of either
+flow.  The conserved step takes u_n^2 from them and runs its first
+Picard sweep on them, since that sweep is at delta = 0 and w + 0
+synthesises to the bits of w; then it frees them.  The relaxational
+step needs only the values, for u_n^3, so run keeps only those through
+it.  A step given nothing synthesises its state itself, so a run
+without diagnostics synthesises nothing after its last step.
 """
 
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from .assembly import (FieldOperator, RadialOperator, _pairing, cubic_field,
+from .assembly import (FieldOperator, RadialOperator, cubic_field,
                        flux_divergence, laplacian_suite, mode_slices,
                        transform_plan)
 from .cross_section import make_circle
@@ -125,9 +128,12 @@ def time_steps(T: float, dt: float) -> int:
     return _divisions(T, dt, 1e-6)
 
 
-def double_well(u: FieldState) -> FieldState:
-    """f(u) = u - u^3 through the dealiased transform."""
-    return u.like(u.coeffs - cubic_field(u).coeffs)
+def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
+    """f(u) = u - u^3 through the dealiased transform.
+
+    values, when given, is u on the padded physical grid; see cubic_field.
+    """
+    return u.like(u.coeffs - cubic_field(u, values).coeffs)
 
 
 def banded_lu(R: np.ndarray) -> tuple:
@@ -297,11 +303,13 @@ class Stepper:
         which the conserved flow then does not compute again.  Its first
         sweep consumes the list (see flux_divergence), so the two arrays
         are freed while the caller still holds it.  The relaxational flow
-        ignores it.
+        reads only the first array, u on the padded grid, which may be the
+        only one; it empties the list too and calls f(u, values) (see
+        double_well).
         """
         if self.equation == "cahn-hilliard":
             return self._ch_step(u, forcing, evaluation)
-        return self._ac_step(u, f, forcing)
+        return self._ac_step(u, f, forcing, evaluation)
 
     def _ch_step(self, u: FieldState, forcing, evaluation) -> FieldState:
         # conserved flow.  The cubic transport enters in divergence form
@@ -362,12 +370,16 @@ class Stepper:
             rhs = rhs + f(u).coeffs
         return rhs
 
-    def _ac_step(self, u: FieldState, f, forcing) -> FieldState:
+    def _ac_step(self, u: FieldState, f, forcing, evaluation) -> FieldState:
         dt = self.dt
         w = u.coeffs
+        values = None
+        if evaluation:
+            values = evaluation[0]
+            evaluation.clear()      # the values die with this step
         rhs = self.laplace(w)
         if f is not None:
-            rhs = rhs + f(u).coeffs
+            rhs = rhs + (f(u) if values is None else f(u, values)).coeffs
         if forcing is not None:
             rhs = rhs + np.asarray(forcing(u.time + dt))
         rhs = dt * rhs
@@ -403,24 +415,40 @@ def mass_functional(u: FieldState) -> float:
     return float(grid.dt * np.sqrt(float(grid.cs.area())) * np.sum(w * col))
 
 
+_ROWS = 64      # row block of energy_functional's density
+
+
 def energy_functional(u: FieldState,
                       evaluation: Optional[List[np.ndarray]] = None) -> float:
     """Double-well energy int 1/4 (u^2-1)^2 + 1/2 (grad u, grad u)_g dvol.
 
-    evaluation, when given, is TransformPlan.synthesise(u.coeffs).
+    The density 1/4 (u^2 - 1)^2 + 1/2 e^(2t) (u_t^2 + u_theta^2) is
+    formed on the padded physical grid and summed there: the uniform sum
+    over its m >= 4 j_max + 5 angles integrates every trigonometric
+    polynomial of degree below m exactly, and the density's degree is at
+    most 4 j_max.  evaluation, when given, is
+    TransformPlan.synthesise(u.coeffs); it is only read, because the next
+    conserved step consumes it.
     """
     grid = u.grid
     plan = transform_plan(grid)
     phys, angular = evaluation or plan.synthesise(u.coeffs)
-    # evaluation is read only: the next conserved step consumes it
-    pairp = plan.to_physical(_pairing(grid, u.coeffs, angular))
-    dens = phys ** 2
-    dens -= 1.0
-    dens **= 2
-    dens *= 0.25
-    pairp *= 0.5
-    dens += pairp
-    del pairp
+    dens = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
+    dens *= dens
+    e2t = np.exp(2.0 * grid.t)[:, np.newaxis]
+    # the rest goes a block of rows at a time, so that no second
+    # padded-grid array is alive beside the evaluation and dens
+    for lo in range(0, grid.n_nodes, _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        block = dens[rows]
+        block += angular[rows] * angular[rows]
+        block *= e2t[rows]
+        block *= 0.5
+        well = phys[rows] ** 2
+        well -= 1.0
+        well **= 2
+        well *= 0.25
+        block += well
     L = float(grid.cs.circumference)
     radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
     return float(_trapezoid(radial, grid.t))
@@ -488,20 +516,24 @@ def _setup(config: RunConfig):
 
 def _diagnostics_row(u: FieldState, step: int,
                      spec: ExtensionSpec) -> Tuple[dict, List[np.ndarray]]:
-    """The row of u, and the evaluation synthesise(u.coeffs) its energy used.
+    """The row of u, and the evaluation synthesise(u.coeffs) it used.
 
-    The evaluation is built after the norms, so its two arrays are never
-    alive together with the norms' derivative stacks.
+    The energy and the sup norm are both taken on the evaluation's padded
+    angular grid, which they only read.  The evaluation is built after
+    the norms, so its two arrays are never alive together with the norms'
+    derivative stacks.
     """
     mass = mass_functional(u)
     norm0, norm2 = mellin_norms(u, 2, spec.gamma, u.p)
     evaluation = transform_plan(u.grid).synthesise(u.coeffs)
+    values = evaluation[0]
     row = {
         "step": step,
         "time": u.time,
         "mass": mass,
         "energy": energy_functional(u, evaluation),
-        "supnorm": u.sup_norm(),
+        # max |values| without a temporary the size of values
+        "supnorm": float(max(abs(values.min()), abs(values.max()))),
         "norm0": norm0,
         "norm2": norm2,
     }
@@ -539,8 +571,9 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
     def record(u: FieldState, step: int):
         row, evaluation = _diagnostics_row(u, step, spec)
         rows.append(row)
-        # only the conserved step reuses the evaluation
-        return evaluation if config.equation == "cahn-hilliard" else None
+        # the relaxational step reads only the values: the angular
+        # derivative is freed here
+        return evaluation if config.equation == "cahn-hilliard" else evaluation[:1]
 
     evaluation = record(u, 0) if diagnostics else None
     for step in range(1, config.n_steps + 1):

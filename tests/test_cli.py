@@ -156,6 +156,19 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_lab_mode_must_not_exceed_j_max(tmp_path, capsys):
+    at_default = tmp_path / "default.json"
+    at_default.write_text(json.dumps({"lab_mode": 40}))     # j_max = 32
+    for path in (_write_cfg(tmp_path, lab_mode=9), str(at_default)):
+        with pytest.raises(ConfigError, match="^/lab_mode: must not exceed j_max$"):
+            parse_config(path)
+        assert main(["lab", "--config", path, "--out", str(tmp_path / "o6")]) == 1
+        assert capsys.readouterr().err == "config error:\n/lab_mode: must not exceed j_max\n"
+    edge = _write_cfg(tmp_path, "edge.json", lab_mode=8)
+    assert main(["lab", "--config", edge, "--out", str(tmp_path / "o7")]) == 0
+    assert json.loads((tmp_path / "o7" / "lab.json").read_text())["samples"]["mode"] == 8
+
+
 @pytest.mark.parametrize("key,value", [("t_max", float("nan")),
                                        ("T", float("inf")),
                                        ("gamma", float("-inf")),

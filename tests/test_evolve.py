@@ -154,12 +154,12 @@ def test_run_without_diagnostics_keeps_snapshots(grid8, spec8, equation):
 @pytest.mark.parametrize("diagnostics", [True, False])
 def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
                                                    diagnostics):
-    # a row costs 5 transforms: the values, the angular and the radial
-    # derivative, and the pairing projected and synthesised again.  The
-    # next step takes the row's values and angular derivative for u^2 and
-    # its first sweep, which then only projects twice; a step given none
-    # synthesises both itself.  Later sweeps synthesise and project 2 + 2,
-    # and nothing is synthesised after the last step.
+    # a row costs 3 transforms: the values, the angular and the radial
+    # derivative, all on the padded grid.  The next step takes the row's
+    # values and angular derivative for u^2 and its first sweep, which
+    # then only projects twice; a step given none synthesises both
+    # itself.  Later sweeps synthesise and project 2 + 2, and nothing is
+    # synthesised after the last step.
     calls = {"transform": 0, "sweep": 0}
 
     def counted(fn, key):
@@ -178,9 +178,49 @@ def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
     run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
     steps, sweeps = cfg.n_steps, calls["sweep"]
     assert sweeps >= steps
-    rows = 5 * (steps + 1) if diagnostics else 0
+    rows = 3 * (steps + 1) if diagnostics else 0
     own = 0 if diagnostics else 2 * steps
     assert calls["transform"] == rows + own + 2 * steps + 4 * (sweeps - steps)
+
+
+@pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
+def test_rows_use_one_angular_grid(monkeypatch, grid8, spec8, equation):
+    # each row synthesises its state on the padded grid (values, angular
+    # and radial derivative) and takes everything from there: nothing
+    # goes back to modes, and nothing is sampled on the cross-section's
+    # quadrature nodes.  The relaxational step then only projects u^3.
+    calls = {"transform": 0, "quadrature": 0}
+    per_row, per_step = [], []
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def tallied(fn, out):
+        def wrapper(*args, **kwargs):
+            before = dict(calls)
+            result = fn(*args, **kwargs)
+            out.append({k: calls[k] - before[k] for k in calls})
+            return result
+        return wrapper
+
+    monkeypatch.setattr(TransformPlan, "to_physical",
+                        counted(TransformPlan.to_physical, "transform"))
+    monkeypatch.setattr(TransformPlan, "to_modes",
+                        counted(TransformPlan.to_modes, "transform"))
+    monkeypatch.setattr(FieldState, "physical_values",
+                        counted(FieldState.physical_values, "quadrature"))
+    monkeypatch.setattr(evolve, "_diagnostics_row",
+                        tallied(evolve._diagnostics_row, per_row))
+    monkeypatch.setattr(Stepper, "step", tallied(Stepper.step, per_step))
+    cfg = RunConfig(T=0.005, equation=equation, **CFG)
+    run(cfg, context=(spec8, grid8))
+    assert per_row == [{"transform": 3, "quadrature": 0}] * (cfg.n_steps + 1)
+    assert all(c["quadrature"] == 0 for c in per_step)
+    if equation == "allen-cahn":
+        assert per_step == [{"transform": 1, "quadrature": 0}] * cfg.n_steps
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +257,16 @@ def test_laplace_peak_allocation(default_context):
     stepper = Stepper(spec, grid, 1e-3)
     co = np.random.default_rng(6).normal(size=(grid.n_nodes, grid.n_channels))
     assert _peak_fields(lambda: stepper.laplace(co), grid) <= 2.1
+
+
+def test_diagnostics_row_peak_allocation(default_context):
+    # the row holds its evaluation (two padded-grid arrays, about 2 fields
+    # each at j_max = 32) and one more for the energy density; projecting
+    # the pairing to modes and back took 8.2 fields, and this must not grow
+    spec, grid = default_context
+    rng = np.random.default_rng(4)
+    u = FieldState(grid, rng.normal(size=(grid.n_nodes, grid.n_channels)))
+    assert _peak_fields(lambda: evolve._diagnostics_row(u, 0, spec), grid) <= 7.5
 
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):

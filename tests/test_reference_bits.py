@@ -4,9 +4,11 @@ The references below are the straightforward constructions: LIL-built
 matrices, scipy.linalg.solve_banded and banded_lu on bands built by
 sparse algebra, the whole-field CSR matrix assembled mode by mode, the
 dense angular-derivative matrix, per-mode CSR products, the diagnostics
-functionals called on each state, the weighted norms, energy and sup
-norm formed full-height from fresh temporaries, and a snapshot CSV
-formatted one value at a time.  Every comparison is on tobytes(), so a flipped sign of zero
+functionals called on each state, the weighted norms formed
+full-height from fresh temporaries, the energy density and sup norm
+formed on the padded angular grid from fresh temporaries, a relaxational
+run that synthesises each state afresh, and a snapshot CSV formatted one
+value at a time.  Every comparison is on tobytes(), so a flipped sign of zero
 fails as well.
 """
 
@@ -25,7 +27,8 @@ from scipy.linalg import solve_banded
 
 from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      assemble_laplacian, bilaplacian_suite, build_extension,
-                     default_weight, energy_functional, gradient_pairing,
+                     default_weight, double_well, energy_functional,
+                     gradient_pairing,
                      initial_state, laplacian_suite, make_circle, make_sphere,
                      mellin_norm, to_banded, transform_plan)
 from conelab.assembly import (FieldOperator, RadialOperator, apply_modewise,
@@ -367,33 +370,60 @@ def _full_mellin_norms(u, k, gamma, p):
     return float(sums[0] ** (1.0 / p)), float(total ** (1.0 / p))
 
 
-def _plain_energy(u):
-    grid = u.grid
+def _integrate_density(grid, dens):
     plan = transform_plan(grid)
-    phys = plan.to_physical(u.coeffs)
-    ut = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
-    uy = plan.to_physical(plan.dtheta(u.coeffs))
-    pair = plan.to_modes(ut * ut + uy * uy) * np.exp(2.0 * grid.t)[:, np.newaxis]
-    dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * plan.to_physical(pair)
     L = float(grid.cs.circumference)
     radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
     return float(_trapezoid(radial, grid.t))
 
 
+def _padded_values_and_gradient(u):
+    grid = u.grid
+    plan = transform_plan(grid)
+    phys = plan.to_physical(u.coeffs)
+    ut = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
+    uy = plan.to_physical(plan.dtheta(u.coeffs))
+    return phys, ut, uy
+
+
+def _plain_energy(u):
+    # the density formed and summed on the padded angular grid
+    phys, ut, uy = _padded_values_and_gradient(u)
+    e2t = np.exp(2.0 * u.grid.t)[:, np.newaxis]
+    dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * (e2t * (ut * ut + uy * uy))
+    return _integrate_density(u.grid, dens)
+
+
+def _round_trip_energy(u):
+    # the earlier definition: the gradient pairing is projected to modes
+    # and synthesised again before it is summed
+    plan = transform_plan(u.grid)
+    phys, ut, uy = _padded_values_and_gradient(u)
+    pair = plan.to_modes(ut * ut + uy * uy) * np.exp(2.0 * u.grid.t)[:, np.newaxis]
+    dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * plan.to_physical(pair)
+    return _integrate_density(u.grid, dens)
+
+
 def _plain_sup_norm(u):
+    # the largest |u| on the padded angular grid, 4 j_max + 5 angles
+    return float(np.max(np.abs(transform_plan(u.grid).to_physical(u.coeffs))))
+
+
+def _quadrature_sup_norm(u):
+    # FieldState.sup_norm: the largest |u| on the cross-section's nodes
     return float(np.max(np.abs(u.coeffs @ u.grid.synthesis_matrix().T)))
 
 
 def _assert_diagnostics_match(u, gamma, ks=(2,), ps=(2.0,), row=None):
-    got = {"energy": energy_functional(u), "supnorm": u.sup_norm()}
-    want = {"energy": _plain_energy(u), "supnorm": _plain_sup_norm(u)}
+    got = {"energy": energy_functional(u), "quadrature": u.sup_norm()}
+    want = {"energy": _plain_energy(u), "quadrature": _quadrature_sup_norm(u)}
     for k in ks:
         for p in ps:
             got[k, p] = mellin_norms(u, k, gamma, p)
             want[k, p] = _full_mellin_norms(u, k, gamma, p)
     if row is not None:
         got["row"] = [row[key] for key in ("energy", "supnorm", "norm0", "norm2")]
-        want["row"] = [want["energy"], want["supnorm"], *want[2, 2.0]]
+        want["row"] = [want["energy"], _plain_sup_norm(u), *want[2, 2.0]]
     hexed = {key: [float(v).hex() for v in np.atleast_1d(val)] for key, val in got.items()}
     assert hexed == {key: [float(v).hex() for v in np.atleast_1d(val)]
                      for key, val in want.items()}
@@ -411,7 +441,7 @@ def test_run_rows_match_full_height_references(spec8, tall, equation):
         _assert_diagnostics_match(snap, spec.gamma, row=row)
 
 
-def test_norms_energy_and_sup_norm_match_full_height_references(cs8, grid8, tall):
+def _random_states(cs8, grid8, tall):
     rng = np.random.default_rng(13)
     grids = [grid8, tall[0],
              ConeGrid(cs8, 0.5, 10, j_max=4),    # the cutoff's support covers every node
@@ -422,8 +452,40 @@ def test_norms_energy_and_sup_norm_match_full_height_references(cs8, grid8, tall
             co = scale * rng.normal(size=(grid.n_nodes, grid.n_channels))
             co *= np.exp(rng.uniform(-1.0, 1.0, size=grid.n_nodes))[:, None]
             co[::3, 0] = -0.0
-            u = FieldState(grid, co)
-            _assert_diagnostics_match(u, -0.5, ks=range(5), ps=(2.0, 3.0))
+            yield FieldState(grid, co)
+
+
+def test_norms_energy_and_sup_norm_match_full_height_references(cs8, grid8, spec8, tall):
+    for u in _random_states(cs8, grid8, tall):
+        row, _ = _diagnostics_row(u, 0, spec8)
+        _assert_diagnostics_match(u, spec8.gamma, ks=range(5), ps=(2.0, 3.0), row=row)
+
+
+def test_energy_agrees_with_round_trip_definition(cs8, grid8, tall):
+    # the angular sum sees only mode 0 of the pairing, which projecting to
+    # the retained modes and back keeps: the two differ by rounding alone
+    worst = 0.0
+    for u in _random_states(cs8, grid8, tall):
+        new, old = energy_functional(u), _round_trip_energy(u)
+        worst = max(worst, abs(new - old) / abs(old))
+    assert worst <= 1e-14
+
+
+def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
+    # the step takes u^3 from the row's values; synthesising u afresh in
+    # every step must give the same bits
+    grid, spec = tall
+    cfg = RunConfig(j_max=8, t_max=12.0, delta_t=0.04, T=0.01, snapshot_every=3,
+                    equation="allen-cahn")
+    snaps, _ = run(cfg, context=(spec, grid))
+    stepper = Stepper(spec, grid, cfg.dt, "allen-cahn")
+    u = initial_state(cfg, grid, spec)
+    want = [u]
+    for step in range(1, cfg.n_steps + 1):
+        u = stepper.step(u, f=double_well)
+        if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
+            want.append(u)
+    assert [s.coeffs.tobytes() for s in snaps] == [s.coeffs.tobytes() for s in want]
 
 
 def test_diagnostics_row_leaves_its_evaluation_intact(grid8, spec8):
