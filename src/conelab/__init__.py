@@ -43,42 +43,34 @@ from .mellin import (
     mellin_norm,
     membership_test,
     monomial_state,
-    pointwise_bound_check,
 )
 from .assembly import (
     ModeOperator,
     TransformPlan,
-    apply_operator,
     assemble_bilaplacian,
     assemble_laplacian,
     bilaplacian_suite,
     cubic_field,
     flux_divergence,
-    gradient_pairing,
     laplacian_suite,
     nonlinearity,
-    to_banded,
     transform_plan,
 )
 from .evolve import (
     PicardDivergenceError,
     RunConfig,
     Stepper,
-    ac_step,
-    ch_step,
     compatibility_check,
     double_well,
     energy_functional,
     initial_state,
     mass_functional,
     run,
-    wellposedness_smoke,
 )
 from .spectral_lab import (
     LabReport,
     SpectrumInSectorError,
     bip_estimate,
-    imaginary_power,
     imaginary_power_integral,
     lab_report,
     matrix_power_spd,

@@ -50,13 +50,6 @@ class ModeOperator:
     robin_b: float
     matrix: sp.csr_matrix
 
-    @property
-    def bandwidth(self) -> int:
-        coo = self.matrix.tocoo()
-        if coo.nnz == 0:
-            return 0
-        return int(np.max(np.abs(coo.row - coo.col)))
-
 
 def _check_pair(grid: ConeGrid, spec: ExtensionSpec):
     if spec.cs is not grid.cs:
@@ -256,24 +249,6 @@ def apply_modewise(ops: Iterable[ModeOperator], coeffs: np.ndarray,
     return FieldOperator(*stacked_rows(ops), grid).apply(coeffs)
 
 
-def apply_operator(u: FieldState, ops: List[ModeOperator]) -> FieldState:
-    return u.like(apply_modewise(ops, u.coeffs, u.grid))
-
-
-def to_banded(mat: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
-    """Diagonal-ordered form consumed by scipy.linalg.solve_banded."""
-    mat = mat.tocsr()
-    m = mat.shape[0]
-    ab = np.zeros((kl + ku + 1, m))
-    for k in range(-kl, ku + 1):
-        d = mat.diagonal(k)
-        if k >= 0:
-            ab[ku - k, k:] = d
-        else:
-            ab[ku - k, :m + k] = d
-    return ab
-
-
 @dataclass(eq=False)
 class TransformPlan:
     """Uniform-angle synthesis/analysis pair for circle cross-sections.
@@ -341,52 +316,6 @@ def transform_plan(grid: ConeGrid) -> TransformPlan:
         plan = TransformPlan(grid)
         grid._transform_plan = plan
     return plan
-
-
-def gradient_pairing(u: FieldState, v: FieldState,
-                     grid: Optional[ConeGrid] = None,
-                     angular: Optional[np.ndarray] = None) -> FieldState:
-    """Metric pairing of gradients, e^(2t) (u_t v_t + u_theta v_theta).
-
-    Both slots must live on the same grid.  The product is formed
-    pointwise on the padded physical grid and projected back, so for
-    u = v = x cos(theta) the result is the constant 1 up to O(dt^2)
-    from the radial stencil.  With v the very same state as u, its
-    gradients are transformed once.  angular, when given, is u's angular
-    derivative on the padded grid (the second array of
-    TransformPlan.synthesise) and is not synthesised again.
-    """
-    grid = grid or u.grid
-    if v.grid is not grid or u.grid is not grid:
-        raise ValueError("gradient pairing needs both fields on one grid")
-    other = None if v is u else v.coeffs
-    return u.like(_pairing(grid, u.coeffs, angular, other))
-
-
-def _pairing(grid: ConeGrid, coeffs: np.ndarray, angular: Optional[np.ndarray],
-             other: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mode coefficients of the pairing of coeffs with other, or with itself.
-
-    angular is coeffs' angular derivative on the padded grid, or None;
-    it is only read.  The physical-grid products are formed in place.
-    """
-    plan = transform_plan(grid)
-    D = grid.radial_derivative_matrix()
-    if angular is None:
-        angular = plan.to_physical(plan.dtheta(coeffs))
-    pair = plan.to_physical(D @ coeffs)
-    if other is None:
-        pair *= pair
-        ang = angular * angular
-    else:
-        other_ang = plan.to_physical(plan.dtheta(other))
-        pair *= plan.to_physical(D @ other)
-        ang = angular * other_ang
-    pair += ang
-    del ang
-    out = plan.to_modes(pair)
-    out *= np.exp(2.0 * grid.t)[:, np.newaxis]
-    return out
 
 
 def cubic_field(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:

@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .config import DEFAULTS
 from .extensions import ExtensionSpec
 from .mellin import FieldState
 
@@ -119,7 +120,7 @@ def fit_exponents(u: FieldState, j: int,
     }
 
 
-def match_catalog(a_hat: float, spec: ExtensionSpec, tol: float = 0.05,
+def match_catalog(a_hat: float, spec: ExtensionSpec, tol: float = DEFAULTS["fit_tol"],
                   mode: Optional[int] = None) -> dict:
     """Nearest admissible tip exponent and a pass/fail verdict.
 

@@ -21,7 +21,6 @@ coincidence is decided with an absolute tolerance of 1e-9.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,12 +80,6 @@ class AsymptoticTerm:
         if self.log_power not in (0, 1):
             raise ValueError("log powers >= 2 are outside the supported asymptotics")
 
-    def describe(self) -> str:
-        s = f"x^{self.exponent}"
-        if self.log_power:
-            s += " log x"
-        return f"{self.coefficient} * {s} (mode {self.mode})"
-
 
 @dataclass(frozen=True)
 class PoleEntry:
@@ -101,11 +94,6 @@ class PoleEntry:
     mode: int
     origin: str
     exact: Optional[Fraction] = None
-
-    def same_location(self, other: "PoleEntry") -> bool:
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        return abs(self.location - other.location) <= MERGE_TOL
 
     def to_json_dict(self) -> dict:
         out = {
@@ -156,9 +144,6 @@ class PoleCatalog:
 
     def to_json_dict(self) -> list:
         return [e.to_json_dict() for e in self.entries]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _mode_roots(cs: CrossSection, j: int):

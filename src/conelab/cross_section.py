@@ -16,7 +16,6 @@ coincident roots without tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,9 +140,6 @@ class CrossSection:
         if self.exact_eigenvalues is not None:
             out["exact_eigenvalues"] = [str(v) for v in self.exact_eigenvalues]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # -- constructors --------------------------------------------------------

@@ -31,7 +31,6 @@ it.  A step given nothing synthesises its state itself, so a run
 without diagnostics synthesises nothing after its last step.
 """
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -41,92 +40,28 @@ from scipy.linalg import lapack
 from .assembly import (FieldOperator, RadialOperator, cubic_field,
                        flux_divergence, laplacian_suite, mode_slices,
                        transform_plan)
-from .cross_section import make_circle
-from .extensions import ExtensionSpec, build_extension, default_weight
+from .config import DEFAULTS, EQUATIONS, Config
+from .extensions import ExtensionSpec
 from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
                      mellin_norm, mellin_norms)
-
-EQUATIONS = ("cahn-hilliard", "allen-cahn")
 
 
 class PicardDivergenceError(RuntimeError):
     """Residual grew over the Picard sweeps; the time step is too large."""
 
 
-@dataclass
-class RunConfig:
-    """Flat description of one simulation.
+class RunConfig(Config):
+    """Flat description of one simulation: the keys of config.KEYS in FIELDS.
 
-    delta_t is the radial grid spacing (t_max / delta_t intervals);
-    dt is the time step.  gamma = None selects the midpoint of the
-    admissible weight window.
+    circumference is the CLI key L.  delta_t is the radial grid spacing
+    (t_max / delta_t intervals); dt is the time step.  gamma = None
+    selects the midpoint of the admissible weight window.
     """
 
-    circumference: float = 2.0 * np.pi
-    j_max: int = 32
-    t_max: float = 12.0
-    delta_t: float = 0.02
-    gamma: Optional[float] = None
-    p: float = 2.0
-    equation: str = "cahn-hilliard"
-    dt: float = 1e-3
-    T: float = 0.05
-    picard_iters: int = 8
-    picard_tol: float = 1e-10
-    seed: int = 7
-    ic_kind: str = "bump"
-    ic_amplitude: float = 0.03
-    ic_modes: int = 3
-    ic_value: float = 0.0
-    snapshot_every: int = 10
-
-    def __post_init__(self):
-        if self.equation not in EQUATIONS:
-            raise ValueError(f"equation must be one of {EQUATIONS}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.dt < self.T:
-            raise ValueError("dt must be smaller than the horizon T")
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_iters < 1:
-            raise ValueError("picard_iters must be at least 1")
-        if self.delta_t <= 0 or self.t_max <= 0:
-            raise ValueError("grid extents must be positive")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be at least 1")
-        for name in ("n_radial", "n_steps"):
-            getattr(self, name)
-
-    @property
-    def n_radial(self) -> int:
-        m = radial_intervals(self.t_max, self.delta_t)
-        if m < 8:
-            raise ValueError("delta_t must divide t_max into >= 8 intervals")
-        return m
-
-    @property
-    def n_steps(self) -> int:
-        m = time_steps(self.T, self.dt)
-        if m < 1:
-            raise ValueError("dt must divide the horizon T")
-        return m
-
-
-def _divisions(total: float, step: float, rel_tol: float) -> int:
-    m = round(total / step)
-    return m if abs(m * step - total) <= rel_tol * total else 0
-
-
-def radial_intervals(t_max: float, delta_t: float) -> int:
-    """Number of radial intervals delta_t cuts t_max into, 0 if it does not divide it."""
-    return _divisions(t_max, delta_t, 1e-9)
-
-
-def time_steps(T: float, dt: float) -> int:
-    """Number of steps dt cuts the horizon T into, 0 if it does not divide it."""
-    return _divisions(T, dt, 1e-6)
-
+    FIELDS = {"circumference": "L", **{key: key for key in (
+        "j_max", "t_max", "delta_t", "gamma", "p", "equation", "dt", "T",
+        "picard_iters", "picard_tol", "seed", "ic_kind", "ic_amplitude",
+        "ic_modes", "ic_value", "snapshot_every")}}
 
 def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
     """f(u) = u - u^3 through the dealiased transform.
@@ -247,8 +182,9 @@ class Stepper:
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
-                 equation: str = "cahn-hilliard",
-                 picard_iters: int = 8, picard_tol: float = 1e-10):
+                 equation: str = DEFAULTS["equation"],
+                 picard_iters: int = DEFAULTS["picard_iters"],
+                 picard_tol: float = DEFAULTS["picard_tol"]):
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
         self.spec = spec
@@ -274,7 +210,7 @@ class Stepper:
     def _factor(j: int, rows: np.ndarray) -> tuple:
         """LU factors of mode j's band rows from implicit_bands."""
         if not np.all(np.isfinite(rows)):
-            raise ValueError(f"implicit system of mode {j} is not finite")
+            raise LinAlgError(f"implicit system of mode {j} is not finite")
         return banded_lu(rows)
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
@@ -283,7 +219,7 @@ class Stepper:
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         b = self._row_scale * rhs
         if not np.all(np.isfinite(b)):
-            raise ValueError("right-hand side of the implicit solve is not finite")
+            raise LinAlgError("right-hand side of the implicit solve is not finite")
         out = np.empty_like(rhs)
         for cols, factors in zip(self._modes, self._factors):
             out[:, cols] = banded_solve(factors, b[:, cols])
@@ -388,24 +324,6 @@ class Stepper:
         return u.like(w + delta, time=u.time + dt)
 
 
-def ch_step(u_n: FieldState, dt: float, spec: ExtensionSpec, grid: ConeGrid,
-            forcing=None, picard_iters: int = 8, picard_tol: float = 1e-10,
-            stepper: Optional[Stepper] = None) -> FieldState:
-    """One conserved-flow step; see Stepper for the scheme."""
-    if stepper is None:
-        stepper = Stepper(spec, grid, dt, "cahn-hilliard", picard_iters, picard_tol)
-    return stepper.step(u_n, forcing=forcing)
-
-
-def ac_step(u_n: FieldState, dt: float, spec: ExtensionSpec, grid: ConeGrid,
-            f: Optional[Callable[[FieldState], FieldState]] = None,
-            forcing=None, stepper: Optional[Stepper] = None) -> FieldState:
-    """One relaxational-flow step: implicit Laplacian, explicit f."""
-    if stepper is None:
-        stepper = Stepper(spec, grid, dt, "allen-cahn")
-    return stepper.step(u_n, f=f, forcing=forcing)
-
-
 def mass_functional(u: FieldState) -> float:
     """Interior rectangle rule for the volume integral of u."""
     grid = u.grid
@@ -495,8 +413,6 @@ def initial_state(config: RunConfig, grid: ConeGrid,
         return FieldState.zeros(grid, gamma=gamma, p=spec.p)
     if config.ic_kind == "constant":
         return constant_state(grid, config.ic_value, gamma=gamma, p=spec.p)
-    if config.ic_kind != "bump":
-        raise ValueError("ic_kind must be bump, zero, or constant")
     rng = np.random.default_rng(config.seed)
     u = FieldState.zeros(grid, gamma=gamma, p=spec.p)
     env = _bump_envelope(grid.t)
@@ -507,9 +423,7 @@ def initial_state(config: RunConfig, grid: ConeGrid,
 
 
 def _setup(config: RunConfig):
-    cs = make_circle(config.circumference, max_mode=config.j_max)
-    gamma = config.gamma if config.gamma is not None else default_weight(cs)
-    spec = build_extension(cs, gamma, config.p)
+    cs, spec = config.extension()
     grid = ConeGrid(cs, config.t_max, config.n_radial, j_max=config.j_max)
     return cs, spec, grid
 
@@ -583,28 +497,3 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
             snapshots.append(u.copy())
     return snapshots, rows
 
-
-def wellposedness_smoke(config: RunConfig, delta: float) -> dict:
-    """Continuous-dependence probe: perturb the data, compare endpoints.
-
-    delta = 0 must reproduce the baseline bitwise (deterministic
-    seeding); small positive deltas should give end gaps scaling
-    linearly, i.e. gap/delta ratios stable across delta.
-    """
-    _, spec, grid = _setup(config)
-    base0 = initial_state(config, grid, spec)
-    pert0 = base0.copy()
-    pert0.coeffs[:, grid.channel_index(0, 0)] += delta * _bump_envelope(grid.t)
-    base_snaps, _ = run(config, initial=base0, context=(spec, grid),
-                        diagnostics=False)
-    pert_snaps, _ = run(config, initial=pert0, context=(spec, grid),
-                        diagnostics=False)
-    bf = base_snaps[-1].coeffs
-    pf = pert_snaps[-1].coeffs
-    gap = float(np.max(np.abs(pf - bf)))
-    return {
-        "delta": float(delta),
-        "final_gap": gap,
-        "ratio": gap / delta if delta > 0 else 0.0,
-        "identical": bool(np.array_equal(bf, pf)),
-    }

@@ -30,7 +30,6 @@ exponents are consistent mirror images.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -46,7 +45,6 @@ from .cone_symbol import (
     symbolic_laplacian,
 )
 from .cross_section import CrossSection
-from .mellin import membership_test
 
 __all__ = [
     "EndpointCollisionError",
@@ -379,13 +377,6 @@ def _addon_allows(spec: ExtensionSpec, a: Number, log_power: int, mode: int) -> 
             elif abs(float(t.exponent) - float(a)) <= MERGE_TOL:
                 return True
     return False
-
-
-def _monomial_in_second_domain(spec: ExtensionSpec, a: Number, log_power: int, mode: int) -> bool:
-    # base membership at weight gamma + 2, then the finitely many addons
-    if membership_test(float(a), log_power, spec.gamma + 2.0, spec.p, spec.n):
-        return True
-    return _addon_allows(spec, a, log_power, mode)
 
 
 # -- fourth-order domain ------------------------------------------------------

@@ -15,7 +15,6 @@ exactly when a > gamma - (n+1)/2, strictly, regardless of l and p.
 """
 
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Optional, Tuple
 
 import numpy as np
@@ -199,14 +198,6 @@ class FieldState:
         """Field values at (radial node, cross-section quadrature node)."""
         return self.coeffs @ self.grid.synthesis_matrix().T
 
-    def sup_norm(self) -> float:
-        if self.grid.cs.nodes is not None:
-            if not self.coeffs.size:
-                return 0.0
-            vals = self.physical_values()
-            return float(np.max(np.abs(vals, out=vals)))
-        return float(np.max(np.abs(self.coeffs)))
-
 
 def monomial_state(grid: ConeGrid, exponent: float, mode: int = 0, branch: int = 0,
                    log_power: int = 0, amplitude: float = 1.0, **kw) -> FieldState:
@@ -339,27 +330,3 @@ def membership_test(a: float, l: int, gamma: float, p: float, n: int) -> bool:
     """
     del l, p
     return bool(a > gamma - 0.5 * (n + 1))
-
-
-def pointwise_bound_check(u: FieldState, s: float, gamma: Optional[float] = None) -> float:
-    """Empirical constant in the tip-weighted sup bound.
-
-    For s > (n+1)/p the field is continuous away from the tip and obeys
-    |u(x, y)| <= c x^(gamma-(n+1)/2) ||u||_{s,gamma}; this returns the
-    smallest c visible on the grid, i.e. the max of
-    |u| x^((n+1)/2-gamma) divided by the order-ceil(s) norm.
-    """
-    grid = u.grid
-    if gamma is None:
-        gamma = u.gamma
-    if gamma is None:
-        raise ValueError("no weight gamma given and the state carries none")
-    n = grid.cs.n
-    if s <= (n + 1) / u.p:
-        raise ValueError("need s > (n+1)/p for a pointwise bound")
-    norm = mellin_norm(u, ceil(s), gamma, u.p)
-    if norm == 0.0:
-        raise ValueError("zero-norm input")
-    weight = np.exp(-(0.5 * (n + 1) - gamma) * grid.t)
-    vals = np.max(np.abs(u.physical_values()), axis=1)
-    return float(np.max(vals * weight) / norm)

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .assembly import RadialOperator
+from .config import DEFAULTS
 from .extensions import ExtensionSpec
 from .mellin import ConeGrid
 
@@ -44,11 +45,6 @@ def matrix_power_spd(A: np.ndarray, z: complex) -> np.ndarray:
     """A^z for SPD A via eigendecomposition; z may be complex."""
     w, Q = _spd_eigh(A)
     return (Q * np.exp(z * np.log(w))) @ Q.T
-
-
-def imaginary_power(A: np.ndarray, t: float) -> np.ndarray:
-    """A^(it) for SPD A; unitary, computed spectrally."""
-    return matrix_power_spd(A, 1j * float(t))
 
 
 def imaginary_power_integral(A: np.ndarray, z: complex,
@@ -244,11 +240,11 @@ class LabReport:
         }
 
 
-def lab_report(grid: ConeGrid, spec: ExtensionSpec, mode: int = 0,
-               shift: float = 10.0, theta: float = 0.5 * np.pi,
-               contour_theta: float = 0.75 * np.pi, beta: float = 0.5,
-               phi: float = 0.0, samples: int = 200,
-               mus: Iterable[float] = (10.0, 100.0, 1000.0),
+def lab_report(grid: ConeGrid, spec: ExtensionSpec, mode: int = DEFAULTS["lab_mode"],
+               shift: float = DEFAULTS["lab_shift"], theta: float = DEFAULTS["lab_theta"],
+               contour_theta: float = DEFAULTS["lab_contour_theta"],
+               beta: float = DEFAULTS["lab_beta"], phi: float = DEFAULTS["lab_phi"],
+               samples: int = DEFAULTS["lab_samples"], mus: Iterable[float] = DEFAULTS["lab_mu"],
                t_grid: Optional[Sequence[float]] = None) -> LabReport:
     """Run the full sweep on the shifted symmetrized mode operator."""
     S = symmetrized_laplacian(grid, spec, mode)

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conelab import (RunConfig, Stepper, build_extension, default_weight,
+                     make_circle)
 from conelab.cli import CliConfig, ConfigError, dispatch, main, parse_config
+from conelab.mellin import ConeGrid
 
 FAST = {"t_max": 3.0, "j_max": 8, "T": 0.02}
 
@@ -22,6 +25,117 @@ def test_parse_config_defaults():
     assert cfg.lab_mu == (10.0, 100.0, 1000.0)
     assert cfg.geometry == "circle" and cfg.j_max == 32
     assert isinstance(cfg, CliConfig)
+
+
+# the CLI contract: every key with its default, and one bad value per key
+# with its exact message (integer keys: a type case and a range case)
+SCHEMA_DEFAULTS = {
+    "geometry": "circle", "L": 2.0 * np.pi, "n": 2, "gamma": None, "p": 2.0,
+    "j_max": 32, "t_max": 12.0, "delta_t": 0.02, "equation": "cahn-hilliard",
+    "dt": 1e-3, "T": 0.05, "picard_iters": 8, "picard_tol": 1e-10, "seed": 7,
+    "ic_kind": "bump", "ic_amplitude": 0.03, "ic_modes": 3, "ic_value": 0.0,
+    "snapshot_every": 10, "norms_k_max": 2, "fit_tol": 0.05, "lab_mode": 0,
+    "lab_t_max": 1.0, "lab_n_radial": 20, "lab_shift": 10.0,
+    "lab_theta": 0.5 * np.pi, "lab_contour_theta": 0.75 * np.pi,
+    "lab_beta": 0.5, "lab_phi": 0.0, "lab_samples": 200,
+    "lab_mu": (10.0, 100.0, 1000.0),
+}
+
+SCHEMA_ERRORS = [
+    ("geometry", "torus", "expected 'circle' or 'sphere'"),
+    ("L", 0, "expected a positive number"),
+    ("n", 2.5, "expected an integer"),
+    ("n", 1, "sphere dimension must be >= 2"),
+    ("gamma", "x", "expected a number or null"),
+    ("p", 0.5, "expected a number >= 1"),
+    ("j_max", "8", "expected an integer"),
+    ("j_max", 0, "need at least one nonzero mode"),
+    ("t_max", -1, "expected a positive number"),
+    ("delta_t", 0, "expected a positive number"),
+    ("equation", "ginzburg-landau", "expected 'cahn-hilliard' or 'allen-cahn'"),
+    ("dt", -1e-3, "expected a positive number"),
+    ("T", 0, "expected a positive number"),
+    ("picard_iters", 1.0, "expected an integer"),
+    ("picard_iters", 0, "must be >= 1"),
+    ("picard_tol", 0, "expected a positive number"),
+    ("seed", True, "expected an integer"),
+    ("seed", -1, "must be >= 0"),
+    ("ic_kind", "plume", "expected 'bump', 'zero', or 'constant'"),
+    ("ic_amplitude", "big", "expected a number"),
+    ("ic_modes", None, "expected an integer"),
+    ("ic_modes", -1, "must be >= 0"),
+    ("ic_value", True, "expected a number"),
+    ("snapshot_every", 2.0, "expected an integer"),
+    ("snapshot_every", 0, "must be >= 1"),
+    ("norms_k_max", [], "expected an integer"),
+    ("norms_k_max", 5, "derivative order must lie in 0..4"),
+    ("fit_tol", -0.1, "expected a positive number"),
+    ("lab_mode", "0", "expected an integer"),
+    ("lab_mode", -1, "must be >= 0"),
+    ("lab_t_max", 0, "expected a positive number"),
+    ("lab_n_radial", 20.5, "expected an integer"),
+    ("lab_n_radial", 7, "need at least 8 radial intervals"),
+    ("lab_shift", -10, "expected a positive number"),
+    ("lab_theta", 3.2, "expected an angle in [0, pi)"),
+    ("lab_contour_theta", -0.1, "expected an angle in [0, pi)"),
+    ("lab_beta", 1, "expected a number in (0, 1)"),
+    ("lab_phi", None, "expected a number"),
+    ("lab_samples", 1e3, "expected an integer"),
+    ("lab_samples", 0, "must be >= 1"),
+    ("lab_mu", [10, -1], "expected a nonempty list of positive numbers"),
+]
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA_DEFAULTS))
+def test_schema_default(key):
+    cfg = parse_config(None)
+    assert sorted(vars(cfg)) == sorted(SCHEMA_DEFAULTS)
+    assert getattr(cfg, key) == SCHEMA_DEFAULTS[key]
+    assert type(getattr(cfg, key)) is type(SCHEMA_DEFAULTS[key])
+
+
+@pytest.mark.parametrize("key,value,message", SCHEMA_ERRORS)
+def test_schema_error(tmp_path, key, value, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(str(path))
+    assert str(exc.value) == f"/{key}: {message}"
+
+
+def test_schema_covers_every_key():
+    assert sorted({key for key, _, _ in SCHEMA_ERRORS}) == sorted(SCHEMA_DEFAULTS)
+
+
+def test_schema_file_errors(tmp_path):
+    with pytest.raises(ConfigError, match=r"^/: cannot read config file \("):
+        parse_config(str(tmp_path / "missing.json"))
+    for text, message in (("{bad", r"^/: config is not valid JSON \("),
+                          ("[1, 2]", "^/: config must be a JSON object$"),
+                          ("null", "^/: config must be a JSON object$")):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+
+
+def test_schema_matches_library_defaults():
+    assert parse_config(None).to_run_config() == RunConfig()
+
+
+def test_schema_serves_the_benchmark_calls():
+    cfg = parse_config(None)
+    assert (cfg.equation, cfg.L, cfg.fit_tol) == ("cahn-hilliard", 2.0 * np.pi, 0.05)
+    run_cfg = RunConfig(seed=7, j_max=128, delta_t=0.01, T=0.01)
+    assert (run_cfg.circumference, run_cfg.gamma, run_cfg.p) == (2.0 * np.pi, None, 2.0)
+    assert (run_cfg.n_radial, run_cfg.n_steps) == (1200, 10)
+    assert (run_cfg.picard_iters, run_cfg.picard_tol) == (8, 1e-10)
+    cs = make_circle(run_cfg.circumference, max_mode=run_cfg.j_max)
+    spec = build_extension(cs, default_weight(cs), run_cfg.p)
+    grid = ConeGrid(cs, run_cfg.t_max, run_cfg.n_radial, j_max=run_cfg.j_max)
+    stepper = Stepper(spec, grid, run_cfg.dt, run_cfg.equation,
+                      run_cfg.picard_iters, run_cfg.picard_tol)
+    assert (stepper.picard_iters, stepper.picard_tol) == (8, 1e-10)
 
 
 def test_parse_config_reads_overrides(tmp_path):
@@ -61,6 +175,15 @@ def test_parse_config_coupled_checks(tmp_path):
     assert parse_config(_write_cfg(tmp_path, dt=0.0025, T=0.05)).dt == 0.0025
     with pytest.raises(ConfigError, match="/delta_t"):
         parse_config(_write_cfg(tmp_path, delta_t=0.7))
+    # quotients that overflow to inf divide nothing, in both config forms
+    for overflow, message in (({"t_max": 1e308, "delta_t": 1e-10},
+                               "/delta_t: must divide t_max into >= 8 intervals"),
+                              ({"T": 1e300, "dt": 1e-300},
+                               "/dt: must divide the horizon T")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(_write_cfg(tmp_path, **overflow))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RunConfig(**overflow)
     with pytest.raises(ConfigError, match="/: config must be a JSON object"):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
@@ -152,6 +275,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "config error:\n/dt: must divide the horizon T\n"
     ok = _write_cfg(tmp_path)
     assert main(["poles", "--config", ok, "--out", str(tmp_path / "o4")]) == 0
+    # a numerical failure is exit 2, not a config error
+    huge = _write_cfg(tmp_path, "huge.json", j_max=4, T=0.002, ic_amplitude=1e60)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", huge, "--out", str(tmp_path / "o8")]) == 2
+    assert capsys.readouterr().err == (
+        "error: right-hand side of the implicit solve is not finite\n")
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conelab import (ConeGrid, FieldState, constant_state, cutoff, make_circle,
-                     mellin_norm, membership_test, monomial_state,
-                     pointwise_bound_check)
+                     mellin_norm, membership_test, monomial_state)
 from conelab.mellin import _trapezoid, mellin_norms
 
 
@@ -58,7 +57,6 @@ def test_constant_state_physical_value(grid8):
     u = constant_state(grid8, 2.5)
     vals = u.physical_values()
     assert np.max(np.abs(vals - 2.5)) < 1e-12
-    assert u.sup_norm() == pytest.approx(2.5)
 
 
 def test_norms_and_sup_norm_peak_allocation():
@@ -78,7 +76,6 @@ def test_norms_and_sup_norm_peak_allocation():
             tracemalloc.stop()
 
     assert peak(lambda: mellin_norms(u, 2, -0.5)) <= 6.0
-    assert peak(u.sup_norm) <= 3.0
 
 
 def test_monomial_state_profile(grid8):
@@ -146,22 +143,6 @@ def test_membership_matches_norm_growth(cs8):
         growing = norms[2] / norms[1] > 1.3
         assert membership_test(a, 0, gamma, 2.0, 1) == (not growing)
         assert member == (not growing)
-
-
-def test_pointwise_bound_constant_under_refinement(cs8):
-    # the sup bound constant stabilizes as the grid refines (the order-2
-    # norm converges slowly where the cutoff transition lives, so the
-    # check is a stabilization band, not a tight ratio)
-    vals = []
-    for nr in (300, 600):
-        grid = ConeGrid(cs8, 6.0, nr, j_max=2)
-        u = monomial_state(grid, 0.7, mode=1, gamma=-0.5)
-        vals.append(pointwise_bound_check(u, 2.0))
-    assert vals[0] == pytest.approx(vals[1], rel=0.1)
-    grid = ConeGrid(cs8, 6.0, 300, j_max=2)
-    u = monomial_state(grid, 0.7, mode=1, gamma=-0.5)
-    with pytest.raises(ValueError):
-        pointwise_bound_check(u, 0.5)  # s below the embedding line
 
 
 def test_norm_requires_weight(grid8):

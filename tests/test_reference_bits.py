@@ -28,15 +28,28 @@ from scipy.linalg import solve_banded
 from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      assemble_laplacian, bilaplacian_suite, build_extension,
                      default_weight, double_well, energy_functional,
-                     gradient_pairing,
                      initial_state, laplacian_suite, make_circle, make_sphere,
-                     mellin_norm, to_banded, transform_plan)
+                     mellin_norm, transform_plan)
 from conelab.assembly import (FieldOperator, RadialOperator, apply_modewise,
                               stacked_rows)
 from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import (EQUATIONS, _diagnostics_row, banded_lu, banded_solve,
                             implicit_bands, run)
 from conelab.mellin import _trapezoid, mellin_norms
+
+
+def to_banded(mat: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
+    """Diagonal-ordered form consumed by scipy.linalg.solve_banded."""
+    mat = mat.tocsr()
+    m = mat.shape[0]
+    ab = np.zeros((kl + ku + 1, m))
+    for k in range(-kl, ku + 1):
+        d = mat.diagonal(k)
+        if k >= 0:
+            ab[ku - k, k:] = d
+        else:
+            ab[ku - k, :m + k] = d
+    return ab
 
 
 def _lil_laplacian(j, grid, spec):
@@ -409,14 +422,9 @@ def _plain_sup_norm(u):
     return float(np.max(np.abs(transform_plan(u.grid).to_physical(u.coeffs))))
 
 
-def _quadrature_sup_norm(u):
-    # FieldState.sup_norm: the largest |u| on the cross-section's nodes
-    return float(np.max(np.abs(u.coeffs @ u.grid.synthesis_matrix().T)))
-
-
 def _assert_diagnostics_match(u, gamma, ks=(2,), ps=(2.0,), row=None):
-    got = {"energy": energy_functional(u), "quadrature": u.sup_norm()}
-    want = {"energy": _plain_energy(u), "quadrature": _quadrature_sup_norm(u)}
+    got = {"energy": energy_functional(u)}
+    want = {"energy": _plain_energy(u)}
     for k in ks:
         for p in ps:
             got[k, p] = mellin_norms(u, k, gamma, p)
@@ -494,13 +502,6 @@ def test_diagnostics_row_leaves_its_evaluation_intact(grid8, spec8):
     _, evaluation = _diagnostics_row(u, 0, spec8)
     fresh = transform_plan(grid8).synthesise(u.coeffs)
     assert [a.tobytes() for a in evaluation] == [a.tobytes() for a in fresh]
-
-
-def test_gradient_pairing_with_itself_matches_two_slots(grid8, spec8):
-    u = initial_state(RunConfig(j_max=8, t_max=3.0, delta_t=0.02), grid8, spec8)
-    u.coeffs[:, grid8.channel_index(6, 1)] = np.linspace(-1.0, 1.0, grid8.n_nodes)
-    same = gradient_pairing(u, u).coeffs
-    assert same.tobytes() == gradient_pairing(u, u.copy()).coeffs.tobytes()
 
 
 def test_grid_with_plan_and_stepper_dies_without_cycle_collector():
