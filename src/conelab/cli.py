@@ -60,10 +60,12 @@ def parse_config(path: Optional[str]) -> CliConfig:
     data = {}
     if path is not None:
         try:
-            with open(path, "r") as f:
+            with open(path, "r", encoding="utf-8") as f:
                 raw = f.read()
         except OSError as e:
             raise ConfigError(f"/: cannot read config file ({e})")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"/: config file is not UTF-8 ({e})")
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as e:

@@ -43,7 +43,7 @@ KEYS = {
                  "expected 'cahn-hilliard' or 'allen-cahn'"),
     "dt": (1e-3, "number", *_POSITIVE),
     "T": (0.05, "number", *_POSITIVE),
-    "picard_iters": (8, "int", lambda v: v >= 1, "must be >= 1"),
+    "picard_iters": (1, "int", lambda v: v >= 1, "must be >= 1"),
     "picard_tol": (1e-10, "number", *_POSITIVE),
     "seed": (7, "int", lambda v: v >= 0, "must be >= 0"),
     "ic_kind": ("bump", "choice", ("bump", "zero", "constant"),

@@ -149,12 +149,12 @@ def test_criterion_6_conservation_dissipation_fixed_points(capsys):
            f"{worst_rise:.3e} <= 1e-9, u=0,+1,-1 fixed bitwise: {fixed}")
 
 
-def _manufactured_orders(equation, spec4, grid):
+def _manufactured_orders(equation, spec4, grid, amplitude=0.05):
     rng = np.random.default_rng(0)
     env = _bump_envelope(grid.t)
     Phi = np.zeros((grid.n_nodes, grid.n_channels))
     for c in range(grid.n_channels):
-        Phi[:, c] = 0.05 * rng.uniform(-1.0, 1.0) * env
+        Phi[:, c] = amplitude * rng.uniform(-1.0, 1.0) * env
     psi = lambda t: 0.5 + np.exp(-4.0 * t)
     dpsi = lambda t: -4.0 * np.exp(-4.0 * t)
     T = 0.04
@@ -188,6 +188,17 @@ def test_criterion_7_manufactured_convergence(capsys):
            f"temporal orders over dt in {{4e-3,2e-3,1e-3}}: "
            f"conserved {ch[0]:.3f}/{ch[1]:.3f}, relaxational "
            f"{ac[0]:.3f}/{ac[1]:.3f}, all within 1.0 +/- 0.15")
+
+
+def test_manufactured_convergence_at_amplitude_1():
+    # criterion 7's check where the cubic term is O(1), not a small
+    # perturbation of the linear flow
+    cs4 = make_circle(2.0 * np.pi, max_mode=4)
+    spec4 = build_extension(cs4, default_weight(cs4), 2.0)
+    grid = ConeGrid(cs4, 3.0, 150, j_max=4)
+    orders = [_manufactured_orders(eq, spec4, grid, amplitude=1.0)
+              for eq in ("cahn-hilliard", "allen-cahn")]
+    assert all(0.85 <= o <= 1.15 for pair in orders for o in pair), orders
 
 
 def test_criterion_8_square_identity_and_integral(cs, spec, capsys):

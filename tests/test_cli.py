@@ -32,7 +32,7 @@ def test_parse_config_defaults():
 SCHEMA_DEFAULTS = {
     "geometry": "circle", "L": 2.0 * np.pi, "n": 2, "gamma": None, "p": 2.0,
     "j_max": 32, "t_max": 12.0, "delta_t": 0.02, "equation": "cahn-hilliard",
-    "dt": 1e-3, "T": 0.05, "picard_iters": 8, "picard_tol": 1e-10, "seed": 7,
+    "dt": 1e-3, "T": 0.05, "picard_iters": 1, "picard_tol": 1e-10, "seed": 7,
     "ic_kind": "bump", "ic_amplitude": 0.03, "ic_modes": 3, "ic_value": 0.0,
     "snapshot_every": 10, "norms_k_max": 2, "fit_tol": 0.05, "lab_mode": 0,
     "lab_t_max": 1.0, "lab_n_radial": 20, "lab_shift": 10.0,
@@ -119,6 +119,15 @@ def test_schema_file_errors(tmp_path):
             parse_config(str(path))
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b'{"t_max": "\xff"}')
+    with pytest.raises(ConfigError, match=r"^/: config file is not UTF-8 \("):
+        parse_config(str(path))
+    assert main(["poles", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:\n/: config file is not UTF-8 (")
+
+
 def test_schema_matches_library_defaults():
     assert parse_config(None).to_run_config() == RunConfig()
 
@@ -129,13 +138,13 @@ def test_schema_serves_the_benchmark_calls():
     run_cfg = RunConfig(seed=7, j_max=128, delta_t=0.01, T=0.01)
     assert (run_cfg.circumference, run_cfg.gamma, run_cfg.p) == (2.0 * np.pi, None, 2.0)
     assert (run_cfg.n_radial, run_cfg.n_steps) == (1200, 10)
-    assert (run_cfg.picard_iters, run_cfg.picard_tol) == (8, 1e-10)
+    assert (run_cfg.picard_iters, run_cfg.picard_tol) == (1, 1e-10)
     cs = make_circle(run_cfg.circumference, max_mode=run_cfg.j_max)
     spec = build_extension(cs, default_weight(cs), run_cfg.p)
     grid = ConeGrid(cs, run_cfg.t_max, run_cfg.n_radial, j_max=run_cfg.j_max)
     stepper = Stepper(spec, grid, run_cfg.dt, run_cfg.equation,
                       run_cfg.picard_iters, run_cfg.picard_tol)
-    assert (stepper.picard_iters, stepper.picard_tol) == (8, 1e-10)
+    assert (stepper.picard_iters, stepper.picard_tol) == (1, 1e-10)
 
 
 def test_parse_config_reads_overrides(tmp_path):
@@ -277,10 +286,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["poles", "--config", ok, "--out", str(tmp_path / "o4")]) == 0
     # a numerical failure is exit 2, not a config error
     huge = _write_cfg(tmp_path, "huge.json", j_max=4, T=0.002, ic_amplitude=1e60)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", "--config", huge, "--out", str(tmp_path / "o8")]) == 2
-    assert capsys.readouterr().err == (
-        "error: right-hand side of the implicit solve is not finite\n")
+    assert main(["simulate", "--config", huge, "--out", str(tmp_path / "o8")]) == 2
+    assert capsys.readouterr().err == "error: diagnostics row of step 1 is not finite\n"
+    # Picard sweeps that end above picard_tol are a numerical failure too
+    stall = _write_cfg(tmp_path, "stall.json", picard_iters=2, picard_tol=1e-30)
+    assert main(["simulate", "--config", stall, "--out", str(tmp_path / "o9")]) == 2
+    assert capsys.readouterr().err.startswith("error: Picard residual ")
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from conelab import (ConeGrid, ConfigError, FieldState, PicardDivergenceError,
                      RunConfig, Stepper, TransformPlan, build_extension,
@@ -287,9 +288,48 @@ def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):
 def test_picard_divergence_guard(grid8, spec8):
     cfg = RunConfig(seed=3, ic_amplitude=50.0, ic_modes=5, **CFG)
     u0 = initial_state(cfg, grid8, spec8)
-    st = Stepper(spec8, grid8, 10.0)
+    st = Stepper(spec8, grid8, 10.0, "cahn-hilliard", 8)
     with pytest.raises(PicardDivergenceError):
         st.step(u0)
+
+
+def test_picard_stall_raises(grid8, spec8):
+    # the residual shrinks, but two sweeps do not reach the tolerance;
+    # step 1 of this run reaches it (residual 0.0) in six
+    u0 = initial_state(RunConfig(**CFG), grid8, spec8)
+    with pytest.raises(PicardDivergenceError, match="after 2 sweeps"):
+        Stepper(spec8, grid8, 1e-3, "cahn-hilliard", 2, 1e-30).step(u0)
+    Stepper(spec8, grid8, 1e-3, "cahn-hilliard", 8, 1e-30).step(u0)
+
+
+def test_default_conserved_step_is_one_banded_solve(monkeypatch, grid8, spec8):
+    # the linearly implicit step: one flux_divergence, one solve per mode
+    calls = {"flux_divergence": 0, "banded_solve": 0}
+
+    def counted(name):
+        fn = getattr(evolve, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(evolve, name, wrapper)
+
+    counted("flux_divergence")
+    counted("banded_solve")
+    u0 = initial_state(RunConfig(**CFG), grid8, spec8)
+    Stepper(spec8, grid8, 1e-3).step(u0)
+    assert calls == {"flux_divergence": 1, "banded_solve": grid8.j_max + 1}
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("dt", [0.1, 1.0, 10.0])
+def test_one_sweep_blow_up_raises(grid8, spec8, dt, diagnostics):
+    # from amplitude-50 data a step may return a huge but finite field;
+    # its diagnostics row or a later step must then raise, without a
+    # NumPy warning, rather than the run return a field
+    cfg = RunConfig(seed=3, ic_amplitude=50.0, ic_modes=5, dt=dt, T=10 * dt, **CFG)
+    with pytest.raises(LinAlgError):
+        run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
 
 
 def test_wellposedness_smoke(grid8, spec8):
