@@ -20,7 +20,11 @@ for the bilaplacian and the references the tests keep.
 The angular transform oversamples to at least 4 j_max + 5 physical
 points so that projecting a product of three band-limited factors back
 onto the retained modes is exact (plain 3/2 padding is not enough for
-the cubic terms; see notes).
+the cubic terms; see notes).  Below j_max = 64 it is a dense product
+with the synthesis matrix on exactly 4 j_max + 5 angles; from j_max = 64
+on it is a real FFT on the least 5-smooth grid of at least that many
+angles.  The switch sits at the measured crossover: on one thread the
+dense product is faster at j_max = 32 and the FFT at 64 and above.
 """
 
 from dataclasses import InitVar, dataclass
@@ -249,13 +253,25 @@ def apply_modewise(ops: Iterable[ModeOperator], coeffs: np.ndarray,
     return FieldOperator(*stacked_rows(ops), grid).apply(coeffs)
 
 
+# from this truncation on, the real FFT beats the dense product on one thread
+FFT_MIN_J_MAX = 64
+
+
 @dataclass(eq=False)
 class TransformPlan:
     """Uniform-angle synthesis/analysis pair for circle cross-sections.
 
-    Analysis is (L/m) S^T, which inverts synthesis exactly on the
+    Synthesis evaluates the retained channels at m uniform angles; S
+    holds those values, one column per channel.  Analysis is the
+    rectangle rule, (L/m) S^T, which inverts synthesis exactly on the
     retained band as long as m exceeds twice the top mode; m is padded
-    further so cubic products project back without aliasing.  The plan
+    further so cubic products project back without aliasing.  Below
+    j_max = FFT_MIN_J_MAX both are dense products with S on 4 j_max + 5
+    angles.  From there on both are real FFTs on the least 5-smooth m of
+    at least 4 j_max + 5: scipy.fftpack's packed real spectrum
+    [y0, Re y1, Im y1, Re y2, ...] is already the channel order (0, 0),
+    (1, 0), (1, 1), (2, 0), ..., so each transform is one FFT and one
+    per-channel scale; S is then kept only as the reference.  The plan
     keeps no reference to its grid, which caches it: a cycle would
     outlive both until the cyclic collector runs.
     """
@@ -268,7 +284,18 @@ class TransformPlan:
         if cs.geometry != "circle":
             raise ValueError("angular transform is implemented for circles only")
         jm = grid.j_max
-        self.m = self.n_phys or max(4 * jm + 5, 8)
+        if self.n_phys is not None and self.n_phys <= 2 * jm:
+            raise ValueError(f"n_phys={self.n_phys} cannot resolve mode {jm}: "
+                             f"need more than {2 * jm} angles")
+        use_fft = jm >= FFT_MIN_J_MAX
+        pad = 4 * jm + 5
+        if use_fft:
+            # imported here, not at module level: loading scipy's FFTs adds
+            # about 5 MB of resident memory, which the dense path never uses
+            from scipy import fftpack
+            self.m = self.n_phys or fftpack.next_fast_len(pad)
+        else:
+            self.m = self.n_phys or max(pad, 8)
         L = float(cs.circumference)
         self.theta = L * np.arange(self.m) / self.m
         self.S = np.column_stack([cs.evaluate(j, k, self.theta)
@@ -286,13 +313,33 @@ class TransformPlan:
             partner = grid.channel_index(j, 1 - k)
             self._partner[partner] = c
             self._weight[partner] = -w if k == 0 else w
-        self._analysis = (L / self.m) * self.S
+        if use_fft:
+            # channel c is fftpack's packed entry c: y0 for mode 0, then
+            # Re y_j and Im y_j for cos and sin, Im carrying the opposite sign
+            mode0 = grid.channel_modes == 0
+            norm = np.where(mode0, 1.0 / np.sqrt(L), np.sqrt(2.0 / L))
+            norm[2::2] *= -1.0
+            self._synth_scale = norm * np.where(mode0, self.m, 0.5 * self.m)
+            self._analysis_scale = norm * (L / self.m)
+        else:
+            self._synth_scale = self._analysis_scale = None
+            self._analysis = (L / self.m) * self.S
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.S.T
+        if self._synth_scale is None:
+            return coeffs @ self.S.T
+        from scipy import fftpack
+        x = np.zeros((coeffs.shape[0], self.m))
+        np.multiply(coeffs, self._synth_scale, out=x[:, :coeffs.shape[1]])
+        # in place: the zero-padded spectrum becomes the values
+        return fftpack.irfft(x, axis=1, overwrite_x=True)
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        return values @ self._analysis
+        if self._analysis_scale is None:
+            return values @ self._analysis
+        from scipy import fftpack
+        nc = self._analysis_scale.size
+        return fftpack.rfft(values, axis=1)[:, :nc] * self._analysis_scale
 
     def synthesise(self, coeffs: np.ndarray) -> List[np.ndarray]:
         """[values, angular derivative] of a field on the padded physical grid."""

@@ -23,6 +23,22 @@ def grid8(cs8):
 
 
 @pytest.fixture(scope="session")
+def cs64():
+    return make_circle(2.0 * np.pi, max_mode=64)
+
+
+@pytest.fixture(scope="session")
+def spec64(cs64):
+    return build_extension(cs64, default_weight(cs64), 2.0)
+
+
+@pytest.fixture(scope="session")
+def grid64(cs64):
+    # the smallest truncation on which TransformPlan takes its FFT path
+    return ConeGrid(cs64, 3.0, 150, j_max=64)
+
+
+@pytest.fixture(scope="session")
 def grid_tall(cs8):
     # tall enough for the default near-tip fit window (4 ln 10)
     return ConeGrid(cs8, 10.0, 500, j_max=8)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as strat
 from scipy.linalg import solve_banded
 
 from conelab import (ConeGrid, FieldState, TransformPlan,
                      assemble_bilaplacian, assemble_laplacian,
                      bilaplacian_suite, constant_state, cubic_field,
-                     flux_divergence, laplacian_suite, monomial_state,
-                     nonlinearity, transform_plan)
+                     flux_divergence, laplacian_suite, make_circle,
+                     monomial_state, nonlinearity, transform_plan)
 from conelab.assembly import apply_modewise
 
 
@@ -109,20 +111,65 @@ def test_suites_cover_all_modes(grid8, spec8):
     assert np.max(np.abs(one - two)) < 1e-9 * np.max(np.abs(two))
 
 
-def test_transform_roundtrip_and_dealiasing(grid8):
-    plan = transform_plan(grid8)
-    assert plan.m >= 4 * grid8.j_max + 5
+@pytest.mark.parametrize("grid_name", ["grid8", "grid64"])
+def test_transform_roundtrip_and_dealiasing(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    plan = transform_plan(grid)
+    assert plan.m >= 4 * grid.j_max + 5
     rng = np.random.default_rng(7)
-    co = rng.normal(size=(grid8.n_nodes, grid8.n_channels))
+    co = rng.normal(size=(grid.n_nodes, grid.n_channels))
     back = plan.to_modes(plan.to_physical(co))
     assert np.max(np.abs(back - co)) < 1e-12
     # cubic products project back alias-free: a doubly oversampled plan
     # must give the same retained-band coefficients
-    plan2 = TransformPlan(grid8, n_phys=4 * plan.m)
-    u = FieldState(grid8, co)
+    plan2 = TransformPlan(grid, n_phys=4 * plan.m)
+    u = FieldState(grid, co)
     cub = cubic_field(u).coeffs
     ref = plan2.to_modes(plan2.to_physical(co) ** 3)
     assert np.max(np.abs(cub - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_transform_paths_switch_at_j_max_64(cs64, grid64):
+    # the dense product on 4 j_max + 5 angles below the switch, the real
+    # FFT on the least 5-smooth grid of at least that many from it on
+    assert transform_plan(ConeGrid(cs64, 3.0, 8, j_max=32)).m == 133
+    plan = transform_plan(grid64)
+    assert plan.m == 270 and not hasattr(plan, "_analysis")
+    # the FFTs agree with the dense reference products
+    rng = np.random.default_rng(8)
+    co = rng.normal(size=(grid64.n_nodes, grid64.n_channels))
+    ref = co @ plan.S.T
+    assert np.max(np.abs(plan.to_physical(co) - ref)) < 1e-13 * np.max(np.abs(ref))
+    values = rng.normal(size=(grid64.n_nodes, plan.m))
+    L = float(grid64.cs.circumference)
+    ref = values @ ((L / plan.m) * plan.S)
+    assert np.max(np.abs(plan.to_modes(values) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(j_max=strat.integers(1, 130), seed=strat.integers(0, 2 ** 32 - 1))
+@example(j_max=63, seed=0)
+@example(j_max=64, seed=0)
+def test_transform_exact_on_both_paths(j_max, seed):
+    cs = make_circle(2.0 * np.pi, max_mode=j_max)
+    grid = ConeGrid(cs, 1.0, 8, j_max=j_max)
+    plan = TransformPlan(grid)
+    rng = np.random.default_rng(seed)
+    co = rng.normal(size=(grid.n_nodes, grid.n_channels))
+    assert np.max(np.abs(plan.to_modes(plan.to_physical(co)) - co)) < 1e-12
+    # no aliasing in the cubic term: a 4x oversampled plan agrees
+    fine = TransformPlan(grid, n_phys=4 * plan.m)
+    cub = plan.to_modes(plan.to_physical(co) ** 3)
+    ref = fine.to_modes(fine.to_physical(co) ** 3)
+    assert np.max(np.abs(cub - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_phys", [10, 16])
+def test_transform_rejects_unresolving_angle_counts(grid8, n_phys):
+    # at most 2 j_max angles alias the top modes onto each other
+    with pytest.raises(ValueError, match="n_phys"):
+        TransformPlan(grid8, n_phys=n_phys)
+    assert TransformPlan(grid8, n_phys=17).m == 17
 
 
 def test_dtheta_matches_analytic_derivative(grid8):

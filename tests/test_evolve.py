@@ -52,20 +52,30 @@ def test_double_well_on_constants(grid8):
         assert np.max(np.abs(w.coeffs)) < 1e-14
 
 
-def test_conserved_flow_fixes_constants_bitwise(grid8, spec8):
-    st = Stepper(spec8, grid8, 1e-3)
+# j_max = 8 runs the dense angular transform, j_max = 64 the FFT
+ON_BOTH_TRANSFORMS = pytest.mark.parametrize("grid_name,spec_name",
+                                             [("grid8", "spec8"), ("grid64", "spec64")],
+                                             ids=["grid8", "grid64"])
+
+
+@ON_BOTH_TRANSFORMS
+def test_conserved_flow_fixes_constants_bitwise(grid_name, spec_name, request):
+    grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
+    st = Stepper(spec, grid, 1e-3)
     for v in (0.0, 1.0, -1.0, 0.3):
-        u0 = constant_state(grid8, v)
+        u0 = constant_state(grid, v)
         u1 = st.step(u0)
         assert np.array_equal(u1.coeffs, u0.coeffs)
 
 
-def test_relaxational_flow_fixes_well_bottoms(grid8, spec8):
-    st = Stepper(spec8, grid8, 1e-3, equation="allen-cahn")
-    u1 = st.step(FieldState.zeros(grid8), f=double_well)
+@ON_BOTH_TRANSFORMS
+def test_relaxational_flow_fixes_well_bottoms(grid_name, spec_name, request):
+    grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
+    st = Stepper(spec, grid, 1e-3, equation="allen-cahn")
+    u1 = st.step(FieldState.zeros(grid), f=double_well)
     assert np.all(u1.coeffs == 0.0)
     for v in (1.0, -1.0):
-        u0 = constant_state(grid8, v)
+        u0 = constant_state(grid, v)
         u1 = st.step(u0, f=double_well)
         assert np.max(np.abs(u1.coeffs - u0.coeffs)) < 1e-15
 
