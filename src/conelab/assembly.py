@@ -12,10 +12,11 @@ the Laplacian twice, including at the ends.
 
 Every mode's stencil is held in one stacked array (RadialOperator),
 together with the tip decay ratios, which are computed there once.  The
-whole-field operator (FieldOperator) and the implicit band rows of the
-stepper (evolve.implicit_bands) are built from it in whole-array
-arithmetic; a mode's CSR matrix (ModeOperator) is built only on demand,
-for the bilaplacian and the references the tests keep.
+whole-field Laplacian (FieldOperator) is that stencil spread over the
+channels, and the stepper's implicit band rows (evolve.implicit_bands)
+are built from it in whole-array arithmetic.  A mode's CSR matrix
+(ModeOperator) is built only for per-mode operator lists such as the
+bilaplacian, which apply_modewise applies mode by mode.
 
 The angular transform oversamples to at least 4 j_max + 5 physical
 points so that projecting a product of three band-limited factors back
@@ -165,27 +166,6 @@ def bilaplacian_suite(grid: ConeGrid, spec: ExtensionSpec,
     return [_squared(P, grid) for P in laplacians]
 
 
-def stacked_rows(ops: Iterable[ModeOperator]) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows of per-mode CSR matrices, padded to one width, in stored order.
-
-    Returns (vals, cols) of shape (modes, nodes, width): entry s of row i
-    of mode j is vals[j, i, s] in column cols[j, i, s]; the padding is
-    zero, which the matrices do not store.
-    """
-    mats = [op.matrix for op in ops]
-    counts = np.array([np.diff(M.indptr) for M in mats])
-    flat = counts.ravel()
-    # slot of each stored entry within its row
-    slot = np.arange(flat.sum()) - np.repeat(np.cumsum(flat) - flat, flat)
-    row = np.repeat(np.arange(flat.size), flat)
-    vals = np.zeros((flat.size, int(counts.max())))
-    cols = np.zeros(vals.shape, dtype=mats[0].indices.dtype)
-    vals[row, slot] = np.concatenate([M.data for M in mats])
-    cols[row, slot] = np.concatenate([M.indices for M in mats])
-    shape = counts.shape + vals.shape[1:]
-    return vals.reshape(shape), cols.reshape(shape)
-
-
 def mode_slices(grid: ConeGrid) -> List[slice]:
     """Column range of each mode; channels are stored in mode order."""
     bounds = np.searchsorted(grid.channel_modes, np.arange(grid.j_max + 2))
@@ -193,64 +173,46 @@ def mode_slices(grid: ConeGrid) -> List[slice]:
 
 
 class FieldOperator:
-    """One radial operator per mode, applied to every channel in one sparse product.
+    """Every mode's radial Laplacian applied to the whole field as its stencil.
 
-    Built from stacked rows: vals[j, i, s] is entry s of row i of mode
-    j's matrix, in column cols[..., i, s] (cols broadcasts against vals),
-    and zeros are not stored.  The matrix is block diagonal in the
-    node-major order (node i, mode j) -> i (j_max + 1) + j and holds each
-    mode's matrix once; a mode's channels are its right-hand-side columns,
-    padded to the largest multiplicity (on a circle, the cos/sin pair,
-    with one padding column for mode 0).  Row (i, j) keeps the entries of
-    row i of mode j's matrix in their stored order and the product sums
-    them from zero, exactly as the per-mode CSR product does, so the
-    result is the same bits.  The padded input is one buffer owned by the
-    operator, whose padding columns are never written.
+    rows[s][i, c] is entry s of row i of the matrix of channel c's mode,
+    in column clip(i, 1, N - 1) - 1 + s (RadialOperator.vals and cols
+    spread over the channels), so the interior rows are three shifted
+    whole-array products and the two image rows reuse their neighbour's
+    columns.  Each row sums its three products in column order and adds
+    the sum to +0.0, which gives the bits of the per-mode CSR product:
+    that sums the stored entries from +0.0, and a zero entry, which it
+    does not store, adds a zero here that changes no bit of a finite sum.
     """
 
-    def __init__(self, vals: np.ndarray, cols: np.ndarray, grid: ConeGrid):
-        n, nm = grid.n_nodes, vals.shape[0]
-        mult = np.bincount(grid.channel_modes, minlength=nm)
-        self.width = int(mult.max())
-        # channel (j, k) sits in the last mult[j] columns of mode j's block;
-        # on a circle these are contiguous, and a slice copies faster
-        pos = np.array([j * self.width + self.width - mult[j] + k
-                        for j, k in grid.channels])
-        self._cols = (slice(pos[0], pos[0] + pos.size)
-                      if np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size))
-                      else pos)
-        self._x = np.zeros((n, nm * self.width))
-        # the node-major rows are the mode-major ones transposed, copied in
-        # C order so that the masked gathers run on contiguous arrays; each
-        # copy is freed once gathered, which bounds the build's peak memory
-        node_vals = vals.transpose(1, 0, 2).copy()
-        keep = node_vals != 0.0
-        data = node_vals[keep]
-        del node_vals
-        node_cols = np.empty(keep.shape, dtype=np.intp)
-        np.multiply(np.broadcast_to(cols, vals.shape).transpose(1, 0, 2), nm, out=node_cols)
-        node_cols += np.arange(nm)[:, np.newaxis]
-        indices = node_cols[keep]
-        del node_cols
-        # summed slice by slice: a reduction over the short last axis is
-        # several times slower
-        counts = np.zeros(keep.shape[:2], dtype=np.intp)
-        for s in range(keep.shape[2]):
-            counts += keep[:, :, s]
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(n * nm, n * nm))
+    def __init__(self, laps: RadialOperator):
+        # C order like the field: a product of mixed layouts runs buffered
+        modes = laps.grid.channel_modes
+        self.rows = [laps.vals[:, :, s].T.take(modes, axis=1) for s in range(3)]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        x = self._x
-        x[:, self._cols] = coeffs
-        y = self.matrix @ x.reshape(-1, self.width)
-        return np.ascontiguousarray(y.reshape(self._x.shape)[:, self._cols])
+        lo, mid, hi = self.rows
+        N = coeffs.shape[0] - 1
+        out = np.empty(coeffs.shape)
+        inner = out[1:N]
+        np.multiply(lo[1:N], coeffs[:N - 1], out=inner)
+        tmp = mid[1:N] * coeffs[1:N]
+        inner += tmp
+        np.multiply(hi[1:N], coeffs[2:], out=tmp)
+        inner += tmp
+        for i, c in ((0, 1), (N, N - 1)):
+            out[i] = lo[i] * coeffs[c - 1] + mid[i] * coeffs[c] + hi[i] * coeffs[c + 1]
+        out += 0.0                  # 0 + x turns a -0.0 into +0.0
+        return out
 
 
 def apply_modewise(ops: Iterable[ModeOperator], coeffs: np.ndarray,
                    grid: ConeGrid) -> np.ndarray:
-    """Apply one radial operator per mode across all channels."""
-    return FieldOperator(*stacked_rows(ops), grid).apply(coeffs)
+    """Apply one radial operator per mode across all channels, as CSR products."""
+    out = np.empty(coeffs.shape)
+    for op, cols in zip(ops, mode_slices(grid)):
+        out[:, cols] = op.matrix @ coeffs[:, cols]
+    return out
 
 
 # from this truncation on, the real FFT beats the dense product on one thread
@@ -439,14 +401,14 @@ def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,
     grid = grid or u.grid
     plan = transform_plan(grid)
     laps = laplacian_suite(grid, spec)
-    lap = FieldOperator(laps.vals, laps.cols, grid)
-    bil = FieldOperator(*stacked_rows(bilaplacian_suite(grid, spec, laps)), grid)
+    lap = FieldOperator(laps)
+    bils = bilaplacian_suite(grid, spec, laps)
     u_phys = plan.to_physical(u.coeffs)
     u2_phys = u_phys ** 2
 
     def a_freeze(w: FieldState) -> FieldState:
         lw = lap.apply(w.coeffs)
-        out = bil.apply(w.coeffs) + lw
+        out = apply_modewise(bils, w.coeffs, grid) + lw
         out -= 3.0 * plan.to_modes(u2_phys * plan.to_physical(lw))
         return w.like(out)
 

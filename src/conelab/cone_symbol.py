@@ -191,9 +191,9 @@ def compute_bilaplacian_poles(
 
     Per mode the candidate locations are q_j^{+/-} and q_j^{+/-} - 2 with
     their multiplicities; coincident locations are merged (exact equality on
-    the rational channel, tolerance MERGE_TOL otherwise) and flagged.  The
-    cross-section argument is accepted for symmetry with compute_poles but
-    everything needed is already in the catalog.
+    the rational channel, tolerance MERGE_TOL otherwise) and flagged.
+    Everything needed is in the catalog; the cross-section, when given, is
+    only checked to match the catalog's retained modes.
     """
     if catalog.source != "laplacian":
         raise ValueError("expected the second-order catalog as input")
@@ -228,7 +228,7 @@ def compute_bilaplacian_poles(
         for g in groups:
             origin = g["origins"].pop() if len(g["origins"]) == 1 else "merged"
             entries.append(PoleEntry(g["loc"], g["count"], j, origin, g["exact"]))
-    return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
+    return PoleCatalog(n=catalog.n, source="bilaplacian", entries=entries)
 
 
 # -- symbol action on mode vectors ----------------------------------------

@@ -187,11 +187,11 @@ class Stepper:
     """Operators and factored implicit systems for one (spec, grid, dt).
 
     Every mode's Laplacian comes from one stacked three-point stencil
-    (assembly.RadialOperator), which also gives the whole-field operator
-    and, through implicit_bands, every mode's band rows in whole-array
-    arithmetic.  Each mode's system is factored once, here: banded LU for
-    the pentadiagonal conserved-flow system, tridiagonal LU for the
-    relaxational one (the LAPACK routines solve_banded would call).
+    (assembly.RadialOperator), which FieldOperator applies to the whole
+    field and implicit_bands turns into every mode's band rows, both in
+    whole-array arithmetic.  Each mode's system is factored once, here:
+    banded LU for the pentadiagonal conserved-flow system, tridiagonal LU
+    for the relaxational one (the LAPACK routines solve_banded would call).
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
@@ -208,7 +208,7 @@ class Stepper:
         self.picard_tol = picard_tol
         self.plan = transform_plan(grid)
         laps = laplacian_suite(grid, spec)
-        self.lap = FieldOperator(laps.vals, laps.cols, grid)
+        self.lap = FieldOperator(laps)
         order = 4 if equation == "cahn-hilliard" else 2
         modes = grid.channel_modes
         self.tip_ratio = laps.tip_ratio(order)[modes]
@@ -257,15 +257,11 @@ class Stepper:
         double_well).
         """
         # an overflow or invalid value here ends in a non-finite right-hand
-        # side or result, which raises LinAlgError below
+        # side or FieldState, either of which raises LinAlgError
         with np.errstate(over="ignore", invalid="ignore"):
             if self.equation == "cahn-hilliard":
-                out = self._ch_step(u, forcing, evaluation)
-            else:
-                out = self._ac_step(u, f, forcing, evaluation)
-            if not np.all(np.isfinite(out.coeffs)):
-                raise LinAlgError("time step result is not finite")
-        return out
+                return self._ch_step(u, forcing, evaluation)
+            return self._ac_step(u, f, forcing, evaluation)
 
     def _ch_step(self, u: FieldState, forcing, evaluation) -> FieldState:
         # conserved flow.  The cubic transport enters in divergence form
@@ -527,7 +523,10 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
 
     evaluation = record(u, 0) if diagnostics else None
     for step in range(1, config.n_steps + 1):
-        u = stepper.step(u, f=f, forcing=forcing, evaluation=evaluation)
+        try:
+            u = stepper.step(u, f=f, forcing=forcing, evaluation=evaluation)
+        except LinAlgError as e:
+            raise LinAlgError(f"time step {step}: {e}") from e
         evaluation = record(u, step) if diagnostics else None
         if step % config.snapshot_every == 0 or step == config.n_steps:
             snapshots.append(u.copy())

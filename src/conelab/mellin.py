@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import LinAlgError
 
 from .cross_section import CrossSection
 
@@ -171,7 +172,8 @@ class FieldState:
         if self.coeffs.shape != want:
             raise ValueError(f"coefficient array must have shape {want}")
         if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("field coefficients must be finite")
+            # a numerical failure, and a ValueError too
+            raise LinAlgError("field coefficients must be finite")
 
     @classmethod
     def zeros(cls, grid: ConeGrid, **kw) -> "FieldState":

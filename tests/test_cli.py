@@ -296,6 +296,14 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("command", ["norms", "asympt"])
+def test_relaxational_overflow_is_a_numerical_failure(tmp_path, capsys, command):
+    # with no diagnostics rows the step itself meets the overflowing cube
+    path = _write_cfg(tmp_path, equation="allen-cahn", ic_amplitude=1e150)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: time step 1: field coefficients must be finite\n"
+
+
 def test_lab_mode_must_not_exceed_j_max(tmp_path, capsys):
     at_default = tmp_path / "default.json"
     at_default.write_text(json.dumps({"lab_mode": 40}))     # j_max = 32

@@ -65,6 +65,12 @@ def test_bilaplacian_double_poles_unit_circle():
         assert locs == sorted({Fraction(j), Fraction(-j), Fraction(j - 2), Fraction(-j - 2)})
 
 
+def test_bilaplacian_poles_need_no_cross_section():
+    for cs in (make_circle(2.0 * np.pi, max_mode=6), make_sphere(2, max_degree=3)):
+        cat = compute_poles(cs)
+        assert compute_bilaplacian_poles(cat) == compute_bilaplacian_poles(cat, cs)
+
+
 def test_bilaplacian_rejects_wrong_source():
     cs = make_circle(2.0 * np.pi, max_mode=3)
     cat4 = compute_bilaplacian_poles(compute_poles(cs), cs)

@@ -268,8 +268,8 @@ def test_stepper_build_peak_allocation(default_context):
 
 
 def test_laplace_peak_allocation(default_context):
-    # the padded input is the operator's own buffer: a call allocates only
-    # the sparse product and the contiguous result
+    # the stencil's three products go into the result and one scratch
+    # array: a call allocates about two fields
     spec, grid = default_context
     stepper = Stepper(spec, grid, 1e-3)
     co = np.random.default_rng(6).normal(size=(grid.n_nodes, grid.n_channels))

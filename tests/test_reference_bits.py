@@ -2,8 +2,8 @@
 
 The references below are the straightforward constructions: LIL-built
 matrices, scipy.linalg.solve_banded and banded_lu on bands built by
-sparse algebra, the whole-field CSR matrix assembled mode by mode, the
-dense angular-derivative matrix, per-mode CSR products, the diagnostics
+sparse algebra, the dense angular-derivative matrix, per-mode CSR
+products (whose bits the whole-field stencil must give), the diagnostics
 functionals called on each state, the weighted norms formed
 full-height from fresh temporaries, the energy density and sup norm
 formed on the padded angular grid from fresh temporaries, a relaxational
@@ -30,8 +30,7 @@ from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
                      default_weight, double_well, energy_functional,
                      initial_state, laplacian_suite, make_circle, make_sphere,
                      mellin_norm, transform_plan)
-from conelab.assembly import (FieldOperator, RadialOperator, apply_modewise,
-                              stacked_rows)
+from conelab.assembly import FieldOperator, RadialOperator, apply_modewise
 from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import (EQUATIONS, _diagnostics_row, banded_lu, banded_solve,
                             implicit_bands, run)
@@ -108,22 +107,6 @@ def _band_rows(ab, kl):
     for k in range(-kl, kl + 1):
         R[max(0, -k):m - max(0, k), kl + k] = ab[kl - k, max(0, k):m + min(0, k)]
     return R
-
-
-def _per_mode_field_csr(mats, grid):
-    """The whole-field CSR matrix, filled in mode by mode from per-mode CSR matrices."""
-    n, nm = grid.n_nodes, len(mats)
-    counts = np.array([np.diff(M.indptr) for M in mats])
-    indptr = np.concatenate(([0], np.cumsum(counts.T.ravel())))
-    data = np.empty(indptr[-1])
-    cols = np.empty(indptr[-1], dtype=mats[0].indices.dtype)
-    for j, M in enumerate(mats):
-        # entry s of row i of mode j goes to indptr[i nm + j] + s
-        dest = np.repeat(indptr[j:-1:nm] - M.indptr[:-1], counts[j])
-        dest += np.arange(M.nnz)
-        data[dest] = M.data
-        cols[dest] = M.indices * nm + j
-    return sp.csr_matrix((data, cols, indptr), shape=(n * nm, n * nm))
 
 
 def _same_csr(a, b):
@@ -241,21 +224,6 @@ def test_implicit_bands_match_lil_bands_with_zero_entries(order):
         assert d[j].tobytes() == dj.tobytes()
 
 
-def test_field_operator_matches_per_mode_build(grid8, spec8, tall):
-    for grid, spec in ((grid8, spec8), tall, _zero_entry_case()):
-        laps = laplacian_suite(grid, spec)
-        lil = [_lil_laplacian(j, grid, spec) for j in range(grid.j_max + 1)]
-        ref = _per_mode_field_csr(lil, grid)
-        got = [FieldOperator(laps.vals, laps.cols, grid).matrix,
-               FieldOperator(*stacked_rows(laps), grid).matrix]
-        if grid.cs.geometry == "circle":
-            got.append(Stepper(spec, grid, 1e-3).lap.matrix)
-        assert all(_same_csr(M, ref) for M in got)
-        squares = [(P @ P).tocsr() for P in lil]
-        bil = FieldOperator(*stacked_rows(bilaplacian_suite(grid, spec, laps)), grid)
-        assert _same_csr(bil.matrix, _per_mode_field_csr(squares, grid))
-
-
 @pytest.mark.parametrize("equation", EQUATIONS)
 def test_stepper_names_the_mode_of_a_nonfinite_system(grid8, spec8, equation):
     spec = copy.copy(spec8)
@@ -313,7 +281,8 @@ def test_dtheta_matches_dense_product(grid8):
 
 
 def test_apply_modewise_matches_per_mode_product(grid8, spec8, tall):
-    # the whole-field operator, through apply_modewise and Stepper.laplace
+    # the per-mode CSR products of apply_modewise, and the whole-field
+    # stencil through FieldOperator and Stepper.laplace
     rng = np.random.default_rng(8)
     for grid, spec in ((grid8, spec8), tall, _zero_entry_case()):
         co = rng.normal(size=(grid.n_nodes, grid.n_channels))
@@ -327,8 +296,10 @@ def test_apply_modewise_matches_per_mode_product(grid8, spec8, tall):
                 ref[:, cols] = ops[j].matrix @ co[:, cols]
             assert np.signbit(ref[:, -1]).sum() == 0
             got = [apply_modewise(ops, co, grid)]
-            if ops is laps and grid.cs.geometry == "circle":
-                got.append(Stepper(spec, grid, 1e-3).laplace(co))
+            if ops is laps:
+                got.append(FieldOperator(laps).apply(co))
+                if grid.cs.geometry == "circle":
+                    got.append(Stepper(spec, grid, 1e-3).laplace(co))
             for out in got:
                 assert out.flags.c_contiguous
                 assert out.tobytes() == ref.tobytes()
