@@ -9,6 +9,32 @@ Cahn-Hilliard / Allen-Cahn stepping, sectorial-operator estimates and
 exponent-recovery diagnostics).
 """
 
+import ctypes
+
+
+def _keep_freed_heap():
+    """Raise glibc's mmap and trim thresholds so freed arrays are reused.
+
+    A time step frees and reallocates the same padded-grid temporaries.
+    At glibc's defaults the larger ones come from mmap and go back to the
+    kernel when freed, so every step faults them in again.  From 32 MiB
+    (M_MMAP_THRESHOLD, the 64-bit maximum) down they now come from the
+    heap, and freed heap memory is returned only once 256 MiB of it sits
+    at the top (M_TRIM_THRESHOLD), so it stays with the process until
+    exit.  A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
+
 from .cross_section import CrossSection, make_circle, make_sphere, from_spectrum, project
 from .cone_symbol import (
     AsymptoticTerm,

@@ -297,11 +297,19 @@ class TransformPlan:
         return fftpack.irfft(x, axis=1, overwrite_x=True)
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Mode coefficients of values on the padded grid.
+
+        values is scratch: on the FFT path the transform overwrites it
+        rather than allocate a full spectrum of which it keeps n_channels
+        columns.  Every caller in conelab passes a temporary; pass a copy
+        of an array you still need.
+        """
         if self._analysis_scale is None:
             return values @ self._analysis
         from scipy import fftpack
         nc = self._analysis_scale.size
-        return fftpack.rfft(values, axis=1)[:, :nc] * self._analysis_scale
+        spectrum = fftpack.rfft(values, axis=1, overwrite_x=True)
+        return spectrum[:, :nc] * self._analysis_scale
 
     def synthesise(self, coeffs: np.ndarray) -> List[np.ndarray]:
         """[values, angular derivative] of a field on the padded physical grid."""

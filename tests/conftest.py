@@ -1,9 +1,21 @@
 """Shared fixtures: one circle cross-section, spec, and grid per session."""
 
+import os
+
 import numpy as np
 import pytest
 
+import conelab
 from conelab import ConeGrid, build_extension, default_weight, make_circle
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment of a child Python that imports this conelab, on one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(conelab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 @pytest.fixture(scope="session")

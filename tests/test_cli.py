@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +272,14 @@ def test_sphere_poles_follow_j_max(tmp_path):
     poles = json.loads((out / "poles.json").read_text())
     for catalog in ("laplacian", "bilaplacian"):
         assert max(e["mode"] for e in poles[catalog]) == 20
+
+
+def test_python_m_conelab_runs_without_warnings(tmp_path, src_env):
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "conelab", "poles",
+                           "--out", str(tmp_path)], env=src_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert (tmp_path / "poles.json").is_file()
 
 
 def test_main_exit_codes(tmp_path, capsys):

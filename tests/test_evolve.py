@@ -1,3 +1,6 @@
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -284,6 +287,34 @@ def test_diagnostics_row_peak_allocation(default_context):
     rng = np.random.default_rng(4)
     u = FieldState(grid, rng.normal(size=(grid.n_nodes, grid.n_channels)))
     assert _peak_fields(lambda: evolve._diagnostics_row(u, 0, spec), grid) <= 7.5
+
+
+# conelab raises glibc's mmap and trim thresholds at import, so a warm run
+# reuses the heap blocks its freed temporaries left behind.  A fresh
+# process measures it: the allocator state the other tests leave behind
+# would hide a regression.  At glibc's default thresholds the second run
+# took about 5 340 minor faults; with the raised ones it takes 13 to 16,
+# so the bound sits about 18x from either
+FAULTS_MAX = 300
+_FAULTS_SCRIPT = """
+import resource
+from conelab import RunConfig, run
+cfg = RunConfig(T=0.01)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are set on glibc only")
+def test_warm_run_takes_few_page_faults(src_env):
+    done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=src_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= FAULTS_MAX
 
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):

@@ -7,9 +7,10 @@ products (whose bits the whole-field stencil must give), the diagnostics
 functionals called on each state, the weighted norms formed
 full-height from fresh temporaries, the energy density and sup norm
 formed on the padded angular grid from fresh temporaries, a relaxational
-run that synthesises each state afresh, and a snapshot CSV formatted one
-value at a time.  Every comparison is on tobytes(), so a flipped sign of zero
-fails as well.
+run that synthesises each state afresh, a snapshot CSV formatted one
+value at a time, FFT analysis that leaves its input alone, and the
+exponent scan as one least-squares fit per rate.  Every array comparison
+is on tobytes(), so a flipped sign of zero fails as well.
 """
 
 import copy
@@ -23,13 +24,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 from numpy.linalg import LinAlgError
+from scipy import fftpack
 from scipy.linalg import solve_banded
 
-from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
-                     assemble_laplacian, bilaplacian_suite, build_extension,
-                     default_weight, double_well, energy_functional,
+from conelab import (ConeGrid, FieldState, RunConfig, Stepper, ZeroModeError,
+                     assemble_laplacian, asymptotics, bilaplacian_suite,
+                     build_extension, cubic_field, default_weight, double_well,
+                     energy_functional, fit_exponents, flux_divergence,
                      initial_state, laplacian_suite, make_circle, make_sphere,
-                     mellin_norm, transform_plan)
+                     mellin_norm, monomial_state, transform_plan)
 from conelab.assembly import FieldOperator, RadialOperator, apply_modewise
 from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import (EQUATIONS, _diagnostics_row, banded_lu, banded_solve,
@@ -522,3 +525,67 @@ def test_snapshot_text_matches_per_value_format(grid8, spec8):
     for snap in snaps + [odd]:
         got = _snapshot_text(snap).encode()
         assert got == _per_value_snapshot_text(snap).encode()
+
+
+def test_fft_analysis_in_place_matches_fresh_input(monkeypatch, grid64):
+    # on the FFT path to_modes transforms its input in place; every
+    # caller's coefficients must keep the bits of a transform that leaves
+    # its input alone
+    plan = transform_plan(grid64)
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(grid64.n_nodes, plan.m))
+    scratch = values.copy()
+    u = FieldState(grid64, rng.normal(size=(grid64.n_nodes, grid64.n_channels)))
+    s = rng.normal(size=(grid64.n_nodes, plan.m))
+
+    def outputs(field):
+        return [plan.to_modes(field).tobytes(), cubic_field(u).coeffs.tobytes(),
+                flux_divergence(s, u.coeffs, grid64).tobytes(),
+                plan.product(u.coeffs, u.coeffs).tobytes()]
+
+    got = outputs(scratch)
+    assert not np.array_equal(scratch, values)
+    rfft = fftpack.rfft
+    monkeypatch.setattr(fftpack, "rfft",
+                        lambda x, axis, overwrite_x: rfft(x, axis=axis))
+    fresh = values.copy()
+    assert outputs(fresh) == got
+    assert np.array_equal(fresh, values)
+
+
+@pytest.fixture(scope="module")
+def fit_profiles(grid_tall):
+    """(state, mode): every mode of three evolved states, and the fit tests' profiles."""
+    out = []
+    for overrides in ({}, {"ic_amplitude": 0.9}, {"j_max": 8}):
+        final = run(RunConfig(**overrides), diagnostics=False)[0][-1]
+        out += [(final, j) for j in range(final.grid.j_max + 1)]
+    pair = monomial_state(grid_tall, 1.0, mode=1, amplitude=2.0)
+    pair.coeffs += monomial_state(grid_tall, 1.0, mode=1, log_power=1).coeffs
+    return out + [(monomial_state(grid_tall, 1.7, mode=2), 2), (pair, 1)]
+
+
+def _fit_or_none(u, j):
+    try:
+        return fit_exponents(u, j)
+    except ZeroModeError:
+        return None
+
+
+def test_fit_exponents_matches_per_rate_scan(monkeypatch, fit_profiles):
+    # the reference scan runs fit_at's np.linalg.lstsq at every rate and
+    # takes the first minimum; the one-pass residuals must stay within
+    # 1e-12 of it, and every fit must come out the same
+    got = [_fit_or_none(u, j) for u, j in fit_profiles]
+    gaps = []
+
+    def per_rate_scan(fit_at, t, y, t0, rates):
+        resids = np.array([fit_at(a)[0] for a in rates])
+        batched = asymptotics._scan_residuals(t, y, t0, rates)
+        gaps.append(float(np.max(np.abs(batched - resids))))
+        return int(np.argmin(resids))
+
+    monkeypatch.setattr(asymptotics, "_scan_minimum", per_rate_scan)
+    assert [_fit_or_none(u, j) for u, j in fit_profiles] == got
+    assert len(gaps) == sum(fit is not None for fit in got) >= 50
+    assert max(gaps) <= 1e-12
