@@ -106,6 +106,7 @@ from .spectral_lab import (
     verify_square_identity,
 )
 from .asymptotics import (
+    FitOverflowError,
     ZeroModeError,
     fit_exponents,
     interior_smoothness_report,

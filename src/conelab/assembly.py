@@ -12,9 +12,9 @@ the Laplacian twice, including at the ends.
 
 Every mode's stencil is held in one stacked array (RadialOperator),
 together with the tip decay ratios, which are computed there once.  The
-whole-field Laplacian (FieldOperator) is that stencil spread over the
-channels, and the stepper's implicit band rows (evolve.implicit_bands)
-are built from it in whole-array arithmetic.  A mode's CSR matrix
+whole-field Laplacian (FieldOperator) applies that stencil to every
+channel, each entry stored once, and the stepper's implicit band rows
+(evolve.implicit_bands) are built from it in whole-array arithmetic.  A mode's CSR matrix
 (ModeOperator) is built only for per-mode operator lists such as the
 bilaplacian, which apply_modewise applies mode by mode.
 
@@ -29,7 +29,7 @@ dense product is faster at j_max = 32 and the FFT at 64 and above.
 """
 
 from dataclasses import InitVar, dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,36 +172,60 @@ def mode_slices(grid: ConeGrid) -> List[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+# bytes of one row block of a blocked temporary: the Laplacian's scratch
+# and each of flux_divergence's per-block midpoints and fluxes
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of a float64 block of BLOCK_BYTES with width columns (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
 class FieldOperator:
     """Every mode's radial Laplacian applied to the whole field as its stencil.
 
-    rows[s][i, c] is entry s of row i of the matrix of channel c's mode,
-    in column clip(i, 1, N - 1) - 1 + s (RadialOperator.vals and cols
-    spread over the channels), so the interior rows are three shifted
-    whole-array products and the two image rows reuse their neighbour's
-    columns.  Each row sums its three products in column order and adds
-    the sum to +0.0, which gives the bits of the per-mode CSR product:
-    that sums the stored entries from +0.0, and a zero entry, which it
-    does not store, adds a zero here that changes no bit of a finite sum.
+    Row i of channel c's matrix holds three entries, in columns
+    clip(i, 1, N - 1) - 1 + s (RadialOperator.vals and cols).  Each is
+    stored once: the interior sub- and super-diagonal entries
+    e^(2t)(1/h^2 +- (n-1)/2h) do not depend on the mode, so lower and
+    upper are one (N - 1, 1) column each; diag holds the interior
+    diagonal per channel, and ends[k, s, c] entry s of image row 0
+    (k = 0) and N (k = 1).  The interior rows are three shifted
+    whole-array products, two of them through a row-block scratch, and
+    the two image rows reuse their neighbour's columns.  Each row sums
+    its three products in column order and adds the sum to +0.0, which
+    gives the bits of the per-mode CSR product: that sums the stored
+    entries from +0.0, and a zero entry, which it does not store, adds a
+    zero here that changes no bit of a finite sum.
     """
 
     def __init__(self, laps: RadialOperator):
-        # C order like the field: a product of mixed layouts runs buffered
+        vals = laps.vals
+        N = vals.shape[1] - 1
         modes = laps.grid.channel_modes
-        self.rows = [laps.vals[:, :, s].T.take(modes, axis=1) for s in range(3)]
+        self.lower = vals[0, 1:N, 0, np.newaxis].copy()
+        self.upper = vals[0, 1:N, 2, np.newaxis].copy()
+        # C order like the field: a product of mixed layouts runs buffered
+        self.diag = vals[:, 1:N, 1].T.take(modes, axis=1)
+        self.ends = vals[:, [0, N]].transpose(1, 2, 0).take(modes, axis=2)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        lo, mid, hi = self.rows
         N = coeffs.shape[0] - 1
         out = np.empty(coeffs.shape)
         inner = out[1:N]
-        np.multiply(lo[1:N], coeffs[:N - 1], out=inner)
-        tmp = mid[1:N] * coeffs[1:N]
-        inner += tmp
-        np.multiply(hi[1:N], coeffs[2:], out=tmp)
-        inner += tmp
-        for i, c in ((0, 1), (N, N - 1)):
-            out[i] = lo[i] * coeffs[c - 1] + mid[i] * coeffs[c] + hi[i] * coeffs[c + 1]
+        np.multiply(self.lower, coeffs[:N - 1], out=inner)
+        rows = block_rows(coeffs.shape[1])
+        scratch = np.empty((min(rows, N - 1), coeffs.shape[1]))
+        for lo in range(0, N - 1, rows):
+            hi = min(lo + rows, N - 1)
+            tmp = scratch[:hi - lo]
+            np.multiply(self.diag[lo:hi], coeffs[lo + 1:hi + 1], out=tmp)
+            inner[lo:hi] += tmp
+            np.multiply(self.upper[lo:hi], coeffs[lo + 2:hi + 2], out=tmp)
+            inner[lo:hi] += tmp
+        for (lo, mid, hi), i, c in zip(self.ends, (0, N), (1, N - 1)):
+            out[i] = lo * coeffs[c - 1] + mid * coeffs[c] + hi * coeffs[c + 1]
         out += 0.0                  # 0 + x turns a -0.0 into +0.0
         return out
 
@@ -350,23 +374,30 @@ def cubic_field(u: FieldState, values: Optional[np.ndarray] = None) -> FieldStat
     return u.like(plan.to_modes(cube))
 
 
-def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray, grid: ConeGrid,
-                    midpoints: Optional[np.ndarray] = None,
+def flux_divergence(scalar_phys: Union[np.ndarray, Callable[[slice], np.ndarray]],
+                    z: np.ndarray, grid: ConeGrid,
                     evaluation: Optional[List[np.ndarray]] = None) -> np.ndarray:
     """Mode coefficients of div(s grad z) = e^(2t)(d_t(s z_t) + d_y(s z_y)).
 
     s is given pointwise on the padded physical grid, z in mode
     coefficients.  The radial part differences staggered midpoint fluxes
-    s_(i+1/2) (z_(i+1) - z_i)/h, so the weighted radial sum telescopes to
-    the two boundary fluxes and the term vanishes identically when z is
-    constant; the angular part applies d_y outermost, whose mode-0 row is
-    zero, so it never moves mass.  The two boundary rows are left zero
-    (zero-flux closure); solvers overwrite them with constraint rows.
+    s_(i+1/2) (z_(i+1) - z_i)/h, s_(i+1/2) = 0.5 (s_i + s_(i+1)), so the
+    weighted radial sum telescopes to the two boundary fluxes and the
+    term vanishes identically when z is constant; the angular part
+    applies d_y outermost, whose mode-0 row is zero, so it never moves
+    mass.  The two boundary rows are left zero (zero-flux closure);
+    solvers overwrite them with constraint rows.
 
-    midpoints, the radial midpoint average 0.5 (s_i + s_(i+1)), is
-    computed here unless the caller has it.  So is evaluation, the list
-    TransformPlan.synthesise(z); a caller's list is consumed: it is
-    emptied and its arrays are overwritten as scratch.
+    scalar_phys is s as an array, or a function that returns s on a
+    slice of rows as a new array.  evaluation is the list
+    TransformPlan.synthesise(z), computed here unless the caller has it;
+    a caller's list is consumed: it is emptied and its arrays are
+    overwritten as scratch.  The fluxes go one block of block_rows(m)
+    of them at a time, from the nodes of the block and one halo row; the
+    block's divergence rows are written over the values of z, whose
+    rows it has then read for the last time, and the block's last flux
+    is kept for the next one.  So s may be computed from the
+    evaluation's values.
     """
     plan = transform_plan(grid)
     h = grid.dt
@@ -374,23 +405,41 @@ def flux_divergence(scalar_phys: np.ndarray, z: np.ndarray, grid: ConeGrid,
         evaluation = plan.synthesise(z)
     phys, angular = evaluation
     evaluation.clear()
-    if midpoints is None:
-        midpoints = 0.5 * (scalar_phys[:-1] + scalar_phys[1:])
-    # each physical-grid array is released as soon as it is used up
-    fr = phys[1:] - phys[:-1]
+    coefficient = scalar_phys if callable(scalar_phys) else scalar_phys.__getitem__
+    N = phys.shape[0] - 1
+    rows = block_rows(phys.shape[1])
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        nodes = phys[lo:hi + 1]
+        s = coefficient(slice(lo, hi + 1))
+        angular[lo:hi] *= s[:-1]
+        mid = s[:-1] + s[1:]
+        mid *= 0.5
+        flux = nodes[1:] - nodes[:-1]
+        flux *= mid
+        flux /= h
+        # the divergence rows lo .. hi - 1 replace the values of z there
+        if lo == 0:
+            nodes[0] = 0.0
+        else:
+            np.subtract(flux[0], carry, out=nodes[0])
+        np.subtract(flux[1:], flux[:-1], out=nodes[1:-1])
+        nodes[:-1] /= h
+        carry = flux[-1].copy()
+    # node N is the last block's halo row
+    angular[N] *= s[-1]
+    phys[N] = 0.0
+    del nodes, s, mid, flux
+    # the angular part first, so that each padded-grid array is freed
+    # as soon as it is projected
+    out = plan.to_modes(angular)
+    del angular
+    out = plan.dtheta(out)
+    radial = plan.to_modes(phys)
     del phys
-    fr *= midpoints
-    fr /= h
-    divr = np.zeros((fr.shape[0] + 1, fr.shape[1]))
-    np.subtract(fr[1:], fr[:-1], out=divr[1:-1])
-    del fr
-    divr[1:-1] /= h
-    out = plan.to_modes(divr)
-    del divr
-    angular *= scalar_phys
-    out += plan.dtheta(plan.to_modes(angular))
-    out *= np.exp(2.0 * grid.t)[:, np.newaxis]
-    return out
+    radial += out
+    radial *= np.exp(2.0 * grid.t)[:, np.newaxis]
+    return radial
 
 
 def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,

@@ -8,12 +8,16 @@ golden-section search, and reports the rate, the log-to-plain
 coefficient ratio, and the relative residual.  The coarse scan takes
 every rate's residual in one whole-array pass and confirms its minimum
 with the same least-squares fit the refinement uses.  The window keeps one
-decade of x clear of the grid end to avoid boundary-row pollution.
+decade of x clear of the grid end to avoid boundary-row pollution.  A
+profile so steep that the basis overflows on the window at the scanned
+rates is no power law there; fit_exponents raises FitOverflowError for
+it before any least-squares fit.
 """
 
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .config import DEFAULTS
 from .extensions import ExtensionSpec
@@ -25,6 +29,10 @@ _GOLD = 0.5 * (np.sqrt(5.0) - 1.0)
 
 class ZeroModeError(ValueError):
     """The requested mode carries no signal on the fit window."""
+
+
+class FitOverflowError(LinAlgError):
+    """The fit basis overflows on the window at the rates the profile asks for."""
 
 
 def _fitter(t: np.ndarray, y: np.ndarray, t0: float):
@@ -79,7 +87,9 @@ def _scan_minimum(fit_at, t: np.ndarray, y: np.ndarray, t0: float,
     near the smallest.  A NaN there (an overflowing basis) lists every
     rate, so fit_at meets it as it would in a per-rate scan.
     """
-    batched = _scan_residuals(t, y, t0, rates)
+    # a basis past about 1e154 overflows the norms into the NaN above
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = _scan_residuals(t, y, t0, rates)
     shortlist = np.flatnonzero(~(batched > np.min(batched) + _SHORTLIST_TOL))
     return int(shortlist[np.argmin([fit_at(a)[0] for a in rates[shortlist]])])
 
@@ -126,6 +136,14 @@ def fit_exponents(u: FieldState, j: int,
     nz = np.nonzero(np.abs(y) > 1e-3 * peak)[0]
     a_rough = (np.log(abs(y[nz[0]])) - np.log(abs(y[nz[-1]]))) / (t[nz[-1]] - t[nz[0]])
     scan = np.linspace(a_rough - 4.0, a_rough + 4.0, 161)
+    # every rate fitted below lies in the scan, and on each node the basis
+    # is largest at one of its ends: past those LAPACK meets infinities
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = t * np.exp(-scan[[0, -1], np.newaxis] * (t - t0))
+    if not np.all(np.isfinite(edges)):
+        raise FitOverflowError(
+            f"mode {j}: the fit basis at rates near {a_rough:.4g} overflows on "
+            f"the window [{lo:g}, {hi:g}]; the profile is no power law there")
     fit_at = _fitter(t, y, t0)
     k = _scan_minimum(fit_at, t, y, t0, scan)
     a_lo = scan[max(0, k - 1)]

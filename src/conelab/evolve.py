@@ -36,9 +36,11 @@ gives its values and angular derivative on the padded physical grid,
 the only angular grid a diagnostics row uses.  The row builds them after
 the norms, integrates the energy density on them and takes the sup norm
 as the largest |value|; run then hands them to the next step of either
-flow.  The conserved step takes u_n^2 from them and runs its first
-sweep on them, since that sweep is at delta = 0 and w + 0 synthesises
-to the bits of w; then it frees them.  The relaxational step needs only
+flow.  The conserved step runs its first sweep on them, since that
+sweep is at delta = 0 and w + 0 synthesises to the bits of w: it forms
+3 u_n^2 from the values a row block at a time and writes the radial
+divergence over them (see flux_divergence).  The opt-in Picard sweeps
+keep a copy of the values for 3 u_n^2.  The relaxational step needs only
 the values, for u_n^3, so run keeps only those through it.  A step
 given nothing synthesises its state itself, so a run without
 diagnostics synthesises nothing after its last step.
@@ -108,13 +110,17 @@ def banded_lu(R: np.ndarray) -> tuple:
 
 
 def banded_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve with the factors from banded_lu; b holds one right-hand side per column."""
+    """Solve with the factors from banded_lu; b holds one right-hand side per column.
+
+    A Fortran-contiguous float64 b is overwritten with the solution,
+    which is returned; any other b is copied first and left alone.
+    """
     if len(factors) == 2:
         lu, ipiv = factors
         kl = (lu.shape[0] - 1) // 3
-        x, _ = lapack.dgbtrs(lu, kl, kl, b, ipiv)
+        x, _ = lapack.dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)
     else:
-        x, _ = lapack.dgttrs(*factors, b)
+        x, _ = lapack.dgttrs(*factors, b, overwrite_b=1)
     return x
 
 
@@ -183,6 +189,15 @@ def implicit_bands(laps: RadialOperator, dt: float,
     return D.transpose(0, 2, 1), d
 
 
+def _transport(values: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """s = 3 u_n^2 of the cubic transport on rows of u_n's padded values."""
+    def coefficient(rows: slice) -> np.ndarray:
+        s = values[rows] ** 2
+        s *= 3.0
+        return s
+    return coefficient
+
+
 class Stepper:
     """Operators and factored implicit systems for one (spec, grid, dt).
 
@@ -192,6 +207,7 @@ class Stepper:
     whole-array arithmetic.  Each mode's system is factored once, here:
     banded LU for the pentadiagonal conserved-flow system, tridiagonal LU
     for the relaxational one (the LAPACK routines solve_banded would call).
+    Row i of mode j's system is scaled by _row_scale[j, i], held per mode.
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
@@ -217,7 +233,7 @@ class Stepper:
         self._modes = mode_slices(grid)
         self._factors = [self._factor(j, rows) for j, rows in enumerate(R)]
         del R
-        self._row_scale = np.take(d.T, modes, axis=1)
+        self._row_scale = d
 
     @staticmethod
     def _factor(j: int, rows: np.ndarray) -> tuple:
@@ -230,13 +246,21 @@ class Stepper:
         return self.lap.apply(coeffs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = self._row_scale * rhs
+        """The increment, in Fortran order: each mode's columns are solved in place.
+
+        w + delta is then C-ordered like w, as numpy orders the result of
+        mixed layouts; an F-ordered state would change the bits of the
+        products and reductions taken over it.
+        """
+        b = np.empty(rhs.shape, order="F")
+        # a mode's columns of b are rows of b.T, one contiguous block
+        for cols, d in zip(self._modes, self._row_scale):
+            np.multiply(rhs.T[cols], d, out=b.T[cols])
         if not np.all(np.isfinite(b)):
             raise LinAlgError("right-hand side of the implicit solve is not finite")
-        out = np.empty_like(rhs)
         for cols, factors in zip(self._modes, self._factors):
-            out[:, cols] = banded_solve(factors, b[:, cols])
-        return out
+            banded_solve(factors, b[:, cols])
+        return b
 
     def _constraint_rhs(self, rhs: np.ndarray, w: np.ndarray):
         rhs[0, :] = -(w[0, :] - w[1, :])
@@ -272,17 +296,17 @@ class Stepper:
         w = u.coeffs
         lw = self.laplace(w)
         base = -(self.laplace(lw) + lw)
+        del lw
         if forcing is not None:
             base = base + np.asarray(forcing(u.time + dt))
         if not evaluation:
             evaluation = self.plan.synthesise(w)
-        u2 = evaluation[0] ** 2
-        u2 *= 3.0
-        smid = u2[:-1] + u2[1:]
-        smid *= 0.5
+        # the first sweep overwrites the evaluation; later ones need u_n
+        values = evaluation[0].copy() if self.picard_iters > 1 else evaluation[0]
+        transport = _transport(values)
 
         def sweep(z: np.ndarray, evaluation=None) -> np.ndarray:
-            rhs = flux_divergence(u2, z, self.grid, smid, evaluation)
+            rhs = flux_divergence(transport, z, self.grid, evaluation)
             rhs += base
             rhs *= dt
             self._constraint_rhs(rhs, w)
@@ -324,9 +348,8 @@ class Stepper:
         if self.equation == "cahn-hilliard":
             lw = self.laplace(w)
             evaluation = self.plan.synthesise(w)
-            u2 = 3.0 * evaluation[0] ** 2
             return -(self.laplace(lw) + lw) + flux_divergence(
-                u2, w, self.grid, evaluation=evaluation)
+                _transport(evaluation[0]), w, self.grid, evaluation)
         rhs = self.laplace(w)
         if f is not None:
             rhs = rhs + f(u).coeffs

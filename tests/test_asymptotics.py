@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conelab import (FieldState, ZeroModeError, fit_exponents,
-                     interior_smoothness_report, match_catalog,
-                     monomial_state, select_extension)
+from conelab import (FieldState, FitOverflowError, ZeroModeError, cli,
+                     fit_exponents, interior_smoothness_report, match_catalog,
+                     monomial_state, parse_config, select_extension)
 
 
 def test_fit_recovers_pure_power(grid_tall):
@@ -45,6 +45,45 @@ def test_fit_zero_mode_and_window_validation(grid_tall):
             fit_exponents(u, 2, window=bad)
     fit = fit_exponents(u, 2, window=(2.0, 6.0))
     assert fit["a_hat"] == pytest.approx(1.7, abs=1e-6)
+
+
+def _steep_profile(grid, drop=1.001e-3):
+    """Mode 0 holding 1 and drop on two adjacent window nodes.
+
+    The log-slope between them, ln(1/drop)/h, is the scan's centre: 345
+    on a 500-interval grid at the default drop.  exp(-a (t - t0))
+    overflows on the default window past a = 205, and its squared norm
+    past about 103.
+    """
+    u = FieldState.zeros(grid)
+    i = int(np.searchsorted(grid.t, grid.t_max - 4.0 * np.log(10.0))) + 20
+    u.coeffs[i:i + 2, grid.channel_index(0, 0)] = (1.0, drop)
+    return u
+
+
+def test_fit_overflow_raises_before_lapack(grid_tall, capfd):
+    with pytest.raises(FitOverflowError, match="^mode 0: the fit basis at rates near 345"):
+        fit_exponents(_steep_profile(grid_tall), 0)
+    # LAPACK's DLASCL complaints went to the process's stderr
+    assert capfd.readouterr().err == ""
+    # at rates near 150 the basis stays finite: the fit runs, and the
+    # one-pass scan's overflowing norms raise no warning
+    with np.errstate(over="raise", invalid="raise"):
+        assert fit_exponents(_steep_profile(grid_tall, 0.05), 0)["a_hat"] > 103.0
+
+
+def test_asympt_overflow_is_a_numerical_failure(monkeypatch, tmp_path, capfd):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"t_max": 10.0, "j_max": 8}')
+
+    def steep_run(config, context, diagnostics):
+        return [_steep_profile(context[1])], []
+
+    monkeypatch.setattr(cli, "run", steep_run)
+    assert cli.dispatch("asympt", parse_config(str(path)), str(tmp_path)) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: mode 0: the fit basis at rates near 345")
+    assert err.count("\n") == 1
 
 
 def test_match_catalog_verdicts(spec8):

@@ -1,0 +1,40 @@
+"""The benchmark's tracer must still find conelab's layer boundaries.
+
+bench/tracing.instrument patches names by attribute and skips a name it
+does not find, so a renamed boundary would read as an absent span rather
+than fail.  One small traced conserved run must fire every span below.
+"""
+
+import importlib.util
+import os
+
+from conelab import RunConfig, evolve, run
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+SPANS = {"stepper.build", "stepper.step", "laplace", "flux_divergence",
+         "diagnostics.row", "transform"}
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_conserved_run_fires_every_layer_span():
+    tracing = _bench_module("tracing")
+    tracer = tracing.Tracer()
+    flux_divergence = evolve.flux_divergence
+    undo = tracing.instrument(tracer)
+    tracer.enabled = True
+    try:
+        run(RunConfig(j_max=4, t_max=3.0, delta_t=0.05, T=0.002))
+    finally:
+        tracer.enabled = False
+        undo()
+    assert SPANS <= set(tracer.names)
+    assert tracer.names.count("flux_divergence") == tracer.names.count("stepper.step") == 2
+    assert evolve.flux_divergence is flux_divergence

@@ -83,6 +83,20 @@ def test_relaxational_flow_fixes_well_bottoms(grid_name, spec_name, request):
         assert np.max(np.abs(u1.coeffs - u0.coeffs)) < 1e-15
 
 
+@pytest.mark.parametrize("equation,picard_iters", [("cahn-hilliard", 1),
+                                                   ("cahn-hilliard", 8),
+                                                   ("allen-cahn", 1)])
+def test_stepped_state_is_c_contiguous(grid8, spec8, equation, picard_iters):
+    # the solve leaves the increment in Fortran order; an F-ordered state
+    # would change the bits of the products and reductions over it
+    u = initial_state(RunConfig(**CFG), grid8, spec8)
+    st = Stepper(spec8, grid8, 1e-3, equation, picard_iters)
+    f = double_well if equation == "allen-cahn" else None
+    for _ in range(2):
+        u = st.step(u, f=f)
+        assert u.coeffs.flags.c_contiguous
+
+
 def test_relaxational_constant_matches_scalar_euler(grid8, spec8):
     # spatially constant data reduces the scheme to c += dt (c - c^3):
     # the implicit Laplacian annihilates constants bitwise, leaving the
@@ -250,16 +264,26 @@ def default_context():
     return spec, ConeGrid(cs, 12.0, 600, j_max=32)
 
 
-def _peak_fields(fn, grid):
-    """Peak traced allocation of fn(), in coefficient-field arrays of grid."""
+def _traced_fields(fn, grid):
+    """(kept, peak) traced allocations of fn(), in coefficient-field arrays of grid.
+
+    kept is what is still allocated while fn's result is alive.
+    """
     fn()                                        # fill the grid's caches
     tracemalloc.start()
     try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (8 * grid.n_nodes * grid.n_channels)
+    del result
+    field = 8 * grid.n_nodes * grid.n_channels
+    return kept / field, peak / field
+
+
+def _peak_fields(fn, grid):
+    """Peak traced allocation of fn(), in coefficient-field arrays of grid."""
+    return _traced_fields(fn, grid)[1]
 
 
 def test_stepper_build_peak_allocation(default_context):
@@ -268,6 +292,26 @@ def test_stepper_build_peak_allocation(default_context):
     # on top of them would show
     spec, grid = default_context
     assert _peak_fields(lambda: Stepper(spec, grid, 1e-3), grid) <= 11.0
+
+
+def test_stepper_live_size(default_context):
+    # a built Stepper keeps its LU factors (about 3.5 fields here), one
+    # diagonal per channel, two stencil columns and per-mode row scales;
+    # the per-channel copies of the stencil and row scales took 7.85
+    spec, grid = default_context
+    assert _traced_fields(lambda: Stepper(spec, grid, 1e-3), grid)[0] <= 6.5
+
+
+def test_conserved_step_peak_allocation(default_context):
+    # given its evaluation, a step forms 3 u_n^2, the radial midpoints and
+    # the fluxes a row block at a time and writes the divergence over the
+    # evaluation's values; their full-height arrays took 10.3 fields
+    spec, grid = default_context
+    stepper = Stepper(spec, grid, 1e-3)
+    u = initial_state(RunConfig(), grid, spec)
+    evaluations = [stepper.plan.synthesise(u.coeffs) for _ in range(2)]
+    peak = _peak_fields(lambda: stepper.step(u, evaluation=evaluations.pop()), grid)
+    assert peak <= 8.0
 
 
 def test_laplace_peak_allocation(default_context):

@@ -33,10 +33,11 @@ from conelab import (ConeGrid, FieldState, RunConfig, Stepper, ZeroModeError,
                      energy_functional, fit_exponents, flux_divergence,
                      initial_state, laplacian_suite, make_circle, make_sphere,
                      mellin_norm, monomial_state, transform_plan)
+from conelab import assembly
 from conelab.assembly import FieldOperator, RadialOperator, apply_modewise
 from conelab.cli import _fmt, _ser, _snapshot_text
-from conelab.evolve import (EQUATIONS, _diagnostics_row, banded_lu, banded_solve,
-                            implicit_bands, run)
+from conelab.evolve import (EQUATIONS, _diagnostics_row, _transport, banded_lu,
+                            banded_solve, implicit_bands, run)
 from conelab.mellin import _trapezoid, mellin_norms
 
 
@@ -147,9 +148,7 @@ def _assert_stepper_matches_lil_bands(st, order):
     for j, ((kl, _), ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
         want = banded_lu(_band_rows(ab, kl))
         assert [f.tobytes() for f in st._factors[j]] == [f.tobytes() for f in want], j
-        cols = _mode_columns(grid, j)
-        scale = np.repeat(d[:, None], cols.size, axis=1)
-        assert st._row_scale[:, cols].tobytes() == scale.tobytes(), j
+        assert st._row_scale[j].tobytes() == d.tobytes(), j
 
 
 def test_laplacian_matches_lil_build(grid8, spec8, tall):
@@ -192,8 +191,7 @@ def test_factored_solve_matches_solve_banded(grid8, spec8, tall, equation, order
         for j, (lu, ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
             cols = _mode_columns(grid, j)
             ref[:, cols] = solve_banded(lu, ab, d[:, None] * rhs[:, cols])
-            scale = np.repeat(d[:, None], cols.size, axis=1)
-            assert st._row_scale[:, cols].tobytes() == scale.tobytes()
+            assert st._row_scale[j].tobytes() == d.tobytes()
         assert st._solve(rhs).tobytes() == ref.tobytes()
 
 
@@ -306,6 +304,76 @@ def test_apply_modewise_matches_per_mode_product(grid8, spec8, tall):
             for out in got:
                 assert out.flags.c_contiguous
                 assert out.tobytes() == ref.tobytes()
+
+
+def _full_height_flux_divergence(s, z, grid):
+    """flux_divergence's arithmetic on full-height fresh temporaries."""
+    plan = transform_plan(grid)
+    phys, angular = plan.synthesise(z)
+    fr = phys[1:] - phys[:-1]
+    fr *= 0.5 * (s[:-1] + s[1:])
+    fr /= grid.dt
+    divr = np.zeros(phys.shape)
+    np.subtract(fr[1:], fr[:-1], out=divr[1:-1])
+    divr[1:-1] /= grid.dt
+    out = plan.to_modes(divr)
+    out += plan.dtheta(plan.to_modes(angular * s))
+    out *= np.exp(2.0 * grid.t)[:, np.newaxis]
+    return out
+
+
+# one-row blocks, a few blocks, and the default, on both transform paths
+@pytest.mark.parametrize("block_bytes", [8, 1 << 15, assembly.BLOCK_BYTES])
+@pytest.mark.parametrize("grid_name,spec_name", [("grid8", "spec8"), ("grid64", "spec64")])
+def test_row_blocks_match_full_height(monkeypatch, request, block_bytes,
+                                      grid_name, spec_name):
+    # the fluxes and the Laplacian's products go a row block at a time;
+    # any block size must give the bits of the full-height arithmetic,
+    # and so must s computed from the values that the blocks overwrite
+    grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
+    plan = transform_plan(grid)
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(grid.n_nodes, grid.n_channels))
+    z[::5, 1] = -0.0
+    s = rng.normal(size=(grid.n_nodes, plan.m))
+    want = _full_height_flux_divergence(s, z, grid).tobytes()
+    assert flux_divergence(s, z, grid).tobytes() == want
+    evaluation = plan.synthesise(z)
+    cubic = 3.0 * evaluation[0] ** 2
+    want = _full_height_flux_divergence(cubic, z, grid).tobytes()
+    got = flux_divergence(_transport(evaluation[0]), z, grid, evaluation)
+    assert got.tobytes() == want and evaluation == []
+    laps = laplacian_suite(grid, spec)
+    assert (FieldOperator(laps).apply(z).tobytes()
+            == apply_modewise(laps, z, grid).tobytes())
+
+
+@pytest.mark.parametrize("grid_name,spec_name", [("grid8", "spec8"), ("grid64", "spec64")])
+def test_picard_step_matches_full_height_sweeps(request, grid_name, spec_name):
+    # every Picard sweep takes 3 u_n^2 from u_n's values, which the first
+    # sweep's row blocks must not have overwritten
+    grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
+    st = Stepper(spec, grid, 1e-3, "cahn-hilliard", 8)
+    u = initial_state(RunConfig(j_max=grid.j_max, t_max=3.0, delta_t=0.02,
+                                ic_amplitude=0.5), grid, spec)
+    w = u.coeffs
+    lw = st.laplace(w)
+    base = -(st.laplace(lw) + lw)
+    cubic = 3.0 * st.plan.to_physical(w) ** 2
+    sweeps = []
+
+    def sweep(z):
+        sweeps.append(z)
+        rhs = _full_height_flux_divergence(cubic, z, grid)
+        rhs += base
+        rhs *= st.dt
+        st._constraint_rhs(rhs, w)
+        return st._solve(rhs)
+
+    delta = st._picard(sweep, w, sweep(w))
+    assert len(sweeps) > 2
+    assert st.step(u).coeffs.tobytes() == (w + delta).tobytes()
 
 
 @pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
