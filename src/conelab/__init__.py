@@ -71,11 +71,7 @@ from .mellin import (
     monomial_state,
 )
 from .assembly import (
-    ModeOperator,
     TransformPlan,
-    assemble_bilaplacian,
-    assemble_laplacian,
-    bilaplacian_suite,
     cubic_field,
     flux_divergence,
     laplacian_suite,

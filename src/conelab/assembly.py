@@ -7,16 +7,15 @@ differences (order-2 stencil).  The first and last rows are image
 extrapolation rows: the outer row copies its neighbor (Neumann for the
 image), the tip row scales its neighbor by exp(-b_j dt) so that the
 image decays at the leading admissible tip rate b_j.  The fourth-order
-operator is the literal matrix square, so applying it equals applying
-the Laplacian twice, including at the ends.
+operator is the Laplacian applied twice, as the bilaplacian's closed
+extension is defined by composition, including at the ends.
 
 Every mode's stencil is held in one stacked array (RadialOperator),
-together with the tip decay ratios, which are computed there once.  The
-whole-field Laplacian (FieldOperator) applies that stencil to every
-channel, each entry stored once, and the stepper's implicit band rows
-(evolve.implicit_bands) are built from it in whole-array arithmetic.  A mode's CSR matrix
-(ModeOperator) is built only for per-mode operator lists such as the
-bilaplacian, which apply_modewise applies mode by mode.
+together with the tip decay ratios, which are computed there once.  It
+is the only form of the radial Laplacian: the whole-field Laplacian
+(FieldOperator) applies it to every channel, each entry stored once,
+and the stepper's implicit band rows (evolve.implicit_bands) are built
+from it in whole-array arithmetic.
 
 The angular transform oversamples to at least 4 j_max + 5 physical
 points so that projecting a product of three band-limited factors back
@@ -29,31 +28,12 @@ dense product is faster at j_max = 32 and the FFT at 64 and above.
 """
 
 from dataclasses import InitVar, dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .extensions import ExtensionSpec
 from .mellin import ConeGrid, FieldState
-
-
-@dataclass(eq=False)
-class ModeOperator:
-    """Banded radial matrix for one cross-section mode.
-
-    robin_a and robin_b are the leading admissible tip exponents of the
-    fourth-order and second-order domains; constraint rows in implicit
-    solves tie the tip node to its neighbor at the matching decay rate.
-    """
-
-    grid: ConeGrid
-    mode: int
-    order: int
-    lam: float
-    robin_a: float
-    robin_b: float
-    matrix: sp.csr_matrix
 
 
 def _check_pair(grid: ConeGrid, spec: ExtensionSpec):
@@ -72,9 +52,7 @@ class RadialOperator:
     (Neumann for the image) and row N is tip[j, 1] times row N - 1, so
     both image rows reuse their neighbour's columns.  tip[j] holds the
     tip decay ratios exp(-a_j dt) and exp(-b_j dt) of the fourth- and
-    second-order domains, computed here and nowhere else.  Indexing or
-    iterating yields each mode's ModeOperator, its CSR matrix built on
-    demand.
+    second-order domains, computed here and nowhere else.
     """
 
     def __init__(self, grid: ConeGrid, spec: ExtensionSpec):
@@ -84,13 +62,12 @@ class RadialOperator:
         h = grid.dt
         N = grid.n_radial
         self.grid = grid
-        self.robin = np.array(spec.inner_bc[:nm], dtype=float)
-        self.tip = np.exp(-self.robin * h)
-        self.lams = np.array([float(grid.cs.eigenvalue(j)) for j in range(nm)])
+        self.tip = np.exp(-np.array(spec.inner_bc[:nm], dtype=float) * h)
+        lams = np.array([float(grid.cs.eigenvalue(j)) for j in range(nm)])
         e2t = np.exp(2.0 * grid.t)[1:N]
         vals = np.empty((nm, N + 1, 3))
         vals[:, 1:N, 0] = e2t * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
-        vals[:, 1:N, 1] = e2t * (-2.0 / h ** 2 + self.lams[:, np.newaxis])
+        vals[:, 1:N, 1] = e2t * (-2.0 / h ** 2 + lams[:, np.newaxis])
         vals[:, 1:N, 2] = e2t * (1.0 / h ** 2 - 0.5 * (n - 1) / h)
         vals[:, 0] = vals[:, 1]
         vals[:, N] = self.tip[:, 1, np.newaxis] * vals[:, N - 1]
@@ -101,69 +78,9 @@ class RadialOperator:
         """Per-mode tip decay ratio of the domain of the given order (4 or 2)."""
         return self.tip[:, 0 if order == 4 else 1]
 
-    def __len__(self) -> int:
-        return self.vals.shape[0]
-
-    def __getitem__(self, j: int) -> ModeOperator:
-        if not 0 <= j < len(self):
-            raise ValueError("mode index outside the grid truncation")
-        vals = self.vals[j]
-        # store no zeros, as LIL assembly did: the pattern fixes the order in
-        # which sparse products such as P @ P sum their terms
-        keep = vals != 0.0
-        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        m = vals.shape[0]
-        M = sp.csr_matrix((vals[keep], self.cols[keep], indptr), shape=(m, m))
-        a_j, b_j = self.robin[j].tolist()
-        return ModeOperator(grid=self.grid, mode=j, order=2, lam=float(self.lams[j]),
-                            robin_a=a_j, robin_b=b_j, matrix=M)
-
-    def __iter__(self) -> Iterator[ModeOperator]:
-        return (self[j] for j in range(len(self)))
-
-
-def assemble_laplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
-    """Radial Laplacian for mode j with image extrapolation rows.
-
-    Parameters
-    ----------
-    j : int
-        Mode index, at most grid.j_max.
-    grid : ConeGrid
-    spec : ExtensionSpec
-        Completed spec (window, addons, inner boundary exponents).
-
-    Returns
-    -------
-    ModeOperator
-        Tridiagonal away from the ends; row 0 copies row 1 and row N is
-        exp(-b_j dt) times row N-1, so the image of a field satisfies
-        the same outer-Neumann / tip-decay pattern as the field itself.
-    """
-    return RadialOperator(grid, spec)[j]
-
-
-def _squared(P: ModeOperator, grid: ConeGrid) -> ModeOperator:
-    """The fourth-order operator of P's mode: the exact matrix square."""
-    return ModeOperator(grid=grid, mode=P.mode, order=4, lam=P.lam,
-                        robin_a=P.robin_a, robin_b=P.robin_b,
-                        matrix=(P.matrix @ P.matrix).tocsr())
-
-
-def assemble_bilaplacian(j: int, grid: ConeGrid, spec: ExtensionSpec) -> ModeOperator:
-    """Fourth-order radial operator as the exact square of the Laplacian."""
-    return _squared(assemble_laplacian(j, grid, spec), grid)
-
 
 def laplacian_suite(grid: ConeGrid, spec: ExtensionSpec) -> RadialOperator:
     return RadialOperator(grid, spec)
-
-
-def bilaplacian_suite(grid: ConeGrid, spec: ExtensionSpec,
-                      laplacians: Optional[Iterable[ModeOperator]] = None) -> List[ModeOperator]:
-    if laplacians is None:
-        laplacians = laplacian_suite(grid, spec)
-    return [_squared(P, grid) for P in laplacians]
 
 
 def mode_slices(grid: ConeGrid) -> List[slice]:
@@ -195,9 +112,10 @@ class FieldOperator:
     whole-array products, two of them through a row-block scratch, and
     the two image rows reuse their neighbour's columns.  Each row sums
     its three products in column order and adds the sum to +0.0, which
-    gives the bits of the per-mode CSR product: that sums the stored
-    entries from +0.0, and a zero entry, which it does not store, adds a
-    zero here that changes no bit of a finite sum.
+    gives the bits of a sparse product with the mode's matrix stored
+    without zeros: that sums the stored entries from +0.0, and a zero
+    entry, which it does not store, adds a zero here that changes no bit
+    of a finite sum.
     """
 
     def __init__(self, laps: RadialOperator):
@@ -228,15 +146,6 @@ class FieldOperator:
             out[i] = lo * coeffs[c - 1] + mid * coeffs[c] + hi * coeffs[c + 1]
         out += 0.0                  # 0 + x turns a -0.0 into +0.0
         return out
-
-
-def apply_modewise(ops: Iterable[ModeOperator], coeffs: np.ndarray,
-                   grid: ConeGrid) -> np.ndarray:
-    """Apply one radial operator per mode across all channels, as CSR products."""
-    out = np.empty(coeffs.shape)
-    for op, cols in zip(ops, mode_slices(grid)):
-        out[:, cols] = op.matrix @ coeffs[:, cols]
-    return out
 
 
 # from this truncation on, the real FFT beats the dense product on one thread
@@ -442,30 +351,26 @@ def flux_divergence(scalar_phys: Union[np.ndarray, Callable[[slice], np.ndarray]
     return radial
 
 
-def nonlinearity(u: FieldState, grid: Optional[ConeGrid] = None,
-                 spec: Optional[ExtensionSpec] = None
+def nonlinearity(u: FieldState, spec: ExtensionSpec
                  ) -> Tuple[Callable[[FieldState], FieldState], FieldState]:
     """Frozen-coefficient principal part and matching lower-order term.
 
     Splits the quasilinear right-hand side at the state u: the returned
     operator applies w -> Lap^2 w + (1 - 3 u^2) Lap w with u frozen and
-    the multiplication done pseudo-spectrally; the returned field is
-    F = 6 u (grad u, grad u)_g.  For u = 0 the operator reduces to
-    Lap^2 + Lap, for u = 1 to Lap^2 - 2 Lap, with F = 0 in both cases.
+    the multiplication done pseudo-spectrally, Lap^2 as Lap applied
+    twice; the returned field is F = 6 u (grad u, grad u)_g.  For u = 0
+    the operator reduces to Lap^2 + Lap, for u = 1 to Lap^2 - 2 Lap,
+    with F = 0 in both cases.
     """
-    if spec is None:
-        raise ValueError("an extension spec is required")
-    grid = grid or u.grid
+    grid = u.grid
     plan = transform_plan(grid)
-    laps = laplacian_suite(grid, spec)
-    lap = FieldOperator(laps)
-    bils = bilaplacian_suite(grid, spec, laps)
+    lap = FieldOperator(laplacian_suite(grid, spec))
     u_phys = plan.to_physical(u.coeffs)
     u2_phys = u_phys ** 2
 
     def a_freeze(w: FieldState) -> FieldState:
         lw = lap.apply(w.coeffs)
-        out = apply_modewise(bils, w.coeffs, grid) + lw
+        out = lap.apply(lw) + lw
         out -= 3.0 * plan.to_modes(u2_phys * plan.to_physical(lw))
         return w.like(out)
 

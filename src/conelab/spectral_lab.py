@@ -199,9 +199,12 @@ def symmetrized_laplacian(grid: ConeGrid, spec: ExtensionSpec, mode: int = 0) ->
     conjugation is an exact symmetrizer for n = 1; the averaging removes
     the leftover skew in other dimensions.
     """
+    if not 0 <= mode <= grid.j_max:
+        raise ValueError("mode index outside the grid truncation")
     lap = RadialOperator(grid, spec)
-    full = lap[mode].matrix.toarray()
     N = grid.n_radial
+    full = np.zeros((N + 1, N + 1))
+    np.put_along_axis(full, lap.cols, lap.vals[mode], axis=1)
     T = full[1:N, 1:N].copy()
     T[0, 0] += full[1, 0]
     T[-1, -1] += lap.tip_ratio(2)[mode] * full[N - 1, N]

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as strat
-from scipy.linalg import solve_banded
 
-from conelab import (ConeGrid, FieldState, TransformPlan,
-                     assemble_bilaplacian, assemble_laplacian,
-                     bilaplacian_suite, constant_state, cubic_field,
-                     flux_divergence, laplacian_suite, make_circle,
+from conelab import (ConeGrid, FieldState, TransformPlan, constant_state,
+                     cubic_field, flux_divergence, laplacian_suite, make_circle,
                      monomial_state, nonlinearity, transform_plan)
-from conelab.assembly import apply_modewise
+from conelab.assembly import FieldOperator
 
 
 def interior(arr, margin=2):
@@ -45,14 +41,21 @@ def _const_coeffs(grid, value):
     return co
 
 
+def _mode_residual(grid, spec, j, prof):
+    """The whole-field Laplacian of prof on channel (j, 0), read off that channel."""
+    c = grid.channel_index(j, 0)
+    co = np.zeros((grid.n_nodes, grid.n_channels))
+    co[:, c] = prof
+    return FieldOperator(laplacian_suite(grid, spec)).apply(co)[:, c]
+
+
 def test_laplacian_annihilates_harmonic_profiles(grid8, spec8):
     # x^j on mode j is an exact kernel element of the mode symbol; the
     # discrete residual is pure stencil error, O(h^2) against the local
     # operator magnitude e^(2t) u
     for j in (0, 1, 2):
-        op = assemble_laplacian(j, grid8, spec8)
         prof = np.exp(-j * grid8.t)
-        res = op.matrix @ prof
+        res = _mode_residual(grid8, spec8, j, prof)
         scale = np.exp(2.0 * grid8.t) * prof
         rel = np.abs(interior(res)) / interior(scale)
         assert np.max(rel) < 5.0 * grid8.dt ** 2
@@ -63,52 +66,13 @@ def test_laplacian_order_two_richardson(cs8, spec8):
     errs = []
     for nr in (100, 200, 400):
         grid = ConeGrid(cs8, 3.0, nr, j_max=3)
-        op = assemble_laplacian(1, grid, spec8)
         u = np.exp(-2.0 * grid.t)
         # e^(2t)(d_tt + lam) e^(-2t) = (4 - 1) at lam_1 = -1
         exact = 3.0 * np.ones(grid.n_nodes)
-        res = (op.matrix @ u) - exact
+        res = _mode_residual(grid, spec8, 1, u) - exact
         errs.append(np.max(np.abs(interior(res, 3))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.9)
-
-
-def test_bilaplacian_is_exact_matrix_square(grid8, spec8):
-    for j in (0, 2):
-        P = assemble_laplacian(j, grid8, spec8)
-        B = assemble_bilaplacian(j, grid8, spec8)
-        assert (B.matrix - P.matrix @ P.matrix).nnz == 0
-        assert B.order == 4 and B.robin_a == P.robin_a
-
-
-def test_bandwidths_and_banded_form(grid8, spec8):
-    P = assemble_laplacian(3, grid8, spec8)
-    B = assemble_bilaplacian(3, grid8, spec8)
-    for op, width in ((P, 2), (B, 4)):    # tridiagonal + image end rows
-        coo = op.matrix.tocoo()
-        assert np.max(np.abs(coo.row - coo.col)) <= width
-    # the diagonal-ordered form feeds solve_banded correctly
-    m = grid8.n_nodes
-    A = (sp.identity(m) + 1e-6 * P.matrix).tocsr()
-    ab = np.zeros((5, m))
-    for k in range(-2, 3):
-        ab[2 - k, max(k, 0):m + min(k, 0)] = A.diagonal(k)
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=m)
-    b = A @ x
-    assert solve_banded((2, 2), ab, b) == pytest.approx(x, rel=1e-8)
-
-
-def test_suites_cover_all_modes(grid8, spec8):
-    laps = laplacian_suite(grid8, spec8)
-    bils = bilaplacian_suite(grid8, spec8, laps)
-    assert [op.mode for op in laps] == list(range(grid8.j_max + 1))
-    assert all(b.order == 4 for b in bils)
-    rng = np.random.default_rng(3)
-    co = rng.normal(size=(grid8.n_nodes, grid8.n_channels))
-    one = apply_modewise(laps, apply_modewise(laps, co, grid8), grid8)
-    two = apply_modewise(bils, co, grid8)
-    assert np.max(np.abs(one - two)) < 1e-9 * np.max(np.abs(two))
 
 
 @pytest.mark.parametrize("grid_name", ["grid8", "grid64"])
@@ -237,8 +201,8 @@ def test_flux_divergence_matches_expanded_form(cs8, spec8):
     s_state = FieldState(grid, 0.1 * z + _const_coeffs(grid, 1.0))
     s = plan.to_physical(s_state.coeffs)
     out = flux_divergence(s, z, grid)
-    laps = laplacian_suite(grid, spec8)
-    term1 = plan.to_modes(s * plan.to_physical(apply_modewise(laps, z, grid)))
+    lap = FieldOperator(laplacian_suite(grid, spec8))
+    term1 = plan.to_modes(s * plan.to_physical(lap.apply(z)))
     pair = _gradient_pairing(s_state, FieldState(grid, z))
     ref = term1 + pair
     err = np.max(np.abs(interior(out - ref, 3)))
@@ -246,23 +210,17 @@ def test_flux_divergence_matches_expanded_form(cs8, spec8):
 
 
 def test_nonlinearity_reduces_at_special_states(grid8, spec8):
-    laps = laplacian_suite(grid8, spec8)
-    bils = bilaplacian_suite(grid8, spec8, laps)
+    lap = FieldOperator(laplacian_suite(grid8, spec8))
     rng = np.random.default_rng(4)
     w = FieldState(grid8, rng.normal(size=(grid8.n_nodes, grid8.n_channels)))
+    lw = lap.apply(w.coeffs)
     # u = 0: operator is Lap^2 + Lap, F = 0
-    a0, F0 = nonlinearity(FieldState.zeros(grid8), spec=spec8)
-    want = apply_modewise(bils, w.coeffs, grid8) + apply_modewise(laps, w.coeffs, grid8)
+    a0, F0 = nonlinearity(FieldState.zeros(grid8), spec8)
+    want = lap.apply(lw) + lw
     assert np.max(np.abs(a0(w).coeffs - want)) < 1e-9 * np.max(np.abs(want))
     assert np.all(F0.coeffs == 0.0)
     # u = 1: operator is Lap^2 - 2 Lap, F = 0
-    a1, F1 = nonlinearity(constant_state(grid8, 1.0), spec=spec8)
-    want1 = apply_modewise(bils, w.coeffs, grid8) - 2.0 * apply_modewise(laps, w.coeffs, grid8)
+    a1, F1 = nonlinearity(constant_state(grid8, 1.0), spec8)
+    want1 = lap.apply(lw) - 2.0 * lw
     assert np.max(np.abs(a1(w).coeffs - want1)) < 1e-9 * np.max(np.abs(want1))
     assert np.max(np.abs(F1.coeffs)) < 1e-10
-
-
-def test_nonlinearity_requires_spec(grid8):
-    with pytest.raises(ValueError):
-        nonlinearity(FieldState.zeros(grid8))
-

@@ -12,8 +12,8 @@ from conelab import RunConfig, evolve, run
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
-SPANS = {"stepper.build", "stepper.step", "laplace", "flux_divergence",
-         "diagnostics.row", "transform"}
+SPANS = {"operators.build", "stepper.build", "stepper.step", "laplace",
+         "flux_divergence", "diagnostics.row", "transform"}
 
 
 def _bench_module(name: str):

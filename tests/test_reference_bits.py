@@ -1,9 +1,10 @@
 """Fast paths against the plain forms they replace, bit for bit.
 
 The references below are the straightforward constructions: LIL-built
-matrices, scipy.linalg.solve_banded and banded_lu on bands built by
-sparse algebra, the dense angular-derivative matrix, per-mode CSR
-products (whose bits the whole-field stencil must give), the diagnostics
+matrices and their per-mode CSR products (whose bits the whole-field
+stencil must give), the lab's symmetrized matrix folded from a LIL-built
+one, scipy.linalg.solve_banded and banded_lu on bands built by sparse
+algebra, the dense angular-derivative matrix, the diagnostics
 functionals called on each state, the weighted norms formed
 full-height from fresh temporaries, the energy density and sup norm
 formed on the padded angular grid from fresh temporaries, a relaxational
@@ -28,13 +29,13 @@ from scipy import fftpack
 from scipy.linalg import solve_banded
 
 from conelab import (ConeGrid, FieldState, RunConfig, Stepper, ZeroModeError,
-                     assemble_laplacian, asymptotics, bilaplacian_suite,
-                     build_extension, cubic_field, default_weight, double_well,
-                     energy_functional, fit_exponents, flux_divergence,
-                     initial_state, laplacian_suite, make_circle, make_sphere,
-                     mellin_norm, monomial_state, transform_plan)
+                     asymptotics, build_extension, cubic_field, default_weight,
+                     double_well, energy_functional, fit_exponents,
+                     flux_divergence, initial_state, laplacian_suite,
+                     make_circle, make_sphere, mellin_norm, monomial_state,
+                     symmetrized_laplacian, transform_plan)
 from conelab import assembly
-from conelab.assembly import FieldOperator, RadialOperator, apply_modewise
+from conelab.assembly import FieldOperator, RadialOperator
 from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import (EQUATIONS, _diagnostics_row, _transport, banded_lu,
                             banded_solve, implicit_bands, run)
@@ -71,6 +72,15 @@ def _lil_laplacian(j, grid, spec):
     M[N, N - 1] = ratio * M[N - 1, N - 1]
     M[N, N] = ratio * M[N - 1, N]
     return M.tocsr()
+
+
+def _lil_product(grid, spec, co):
+    """Each mode's LIL-built matrix times that mode's columns of co."""
+    out = np.empty_like(co)
+    for j in range(grid.j_max + 1):
+        cols = _mode_columns(grid, j)
+        out[:, cols] = _lil_laplacian(j, grid, spec) @ co[:, cols]
+    return out
 
 
 def _lil_bands(grid, spec, dt, order):
@@ -113,13 +123,6 @@ def _band_rows(ab, kl):
     return R
 
 
-def _same_csr(a, b):
-    return (a.shape == b.shape
-            and a.data.tobytes() == b.data.tobytes()
-            and a.indices.tobytes() == b.indices.tobytes()
-            and a.indptr.tobytes() == b.indptr.tobytes())
-
-
 @pytest.fixture(scope="module")
 def tall(cs8, spec8):
     # the default grid's t_max, where the rows span ~e^(4t) and pivots move
@@ -151,31 +154,43 @@ def _assert_stepper_matches_lil_bands(st, order):
         assert st._row_scale[j].tobytes() == d.tobytes(), j
 
 
-def test_laplacian_matches_lil_build(grid8, spec8, tall):
-    grid, spec = tall
-    for g, s in ((grid8, spec8), (grid, spec)):
-        for j in range(g.j_max + 1):
-            P = assemble_laplacian(j, g, s).matrix
-            ref = _lil_laplacian(j, g, s)
-            assert _same_csr(P, ref)
-            assert _same_csr((P @ P).tocsr(), (ref @ ref).tocsr())
-
-
 def _zero_entry_case():
     # on S^2, spacing 2 makes the upper stencil weight 1/h^2 - (n-1)/(2h)
-    # vanish exactly, so the stored rows are shorter than three entries
+    # vanish exactly, so the LIL rows store fewer than three entries
     cs = make_sphere(2, max_degree=3)
     spec = build_extension(cs, default_weight(cs), 2.0)
     return ConeGrid(cs, 16.0, 8, j_max=3), spec
 
 
-def test_laplacian_drops_zero_entries_like_lil():
-    # LIL stores no zeros and neither does the array build
-    grid, spec = _zero_entry_case()
-    for j in range(grid.j_max + 1):
-        P = assemble_laplacian(j, grid, spec).matrix
-        assert P.nnz < 3 * grid.n_nodes
-        assert _same_csr(P, _lil_laplacian(j, grid, spec))
+def test_laplacian_matches_lil_build(grid8, spec8, tall):
+    # the stencil scattered to its columns is the LIL matrix, zeros included
+    grid, spec = tall
+    for g, s in ((grid8, spec8), (grid, spec), _zero_entry_case()):
+        laps = RadialOperator(g, s)
+        for j in range(g.j_max + 1):
+            full = np.zeros((g.n_nodes, g.n_nodes))
+            np.put_along_axis(full, laps.cols, laps.vals[j], axis=1)
+            assert full.tobytes() == _lil_laplacian(j, g, s).toarray().tobytes()
+
+
+def _lil_symmetrized(grid, spec, j):
+    """symmetrized_laplacian's fold, conjugation and average of the LIL matrix."""
+    full = _lil_laplacian(j, grid, spec).toarray()
+    N = grid.n_radial
+    T = full[1:N, 1:N].copy()
+    T[0, 0] += full[1, 0]
+    T[-1, -1] += np.exp(-spec.inner_bc[j][1] * grid.dt) * full[N - 1, N]
+    w = np.exp(-grid.t[1:N])
+    Ts = (w[:, np.newaxis] * T) / w[np.newaxis, :]
+    return -0.5 * (Ts + Ts.T)
+
+
+def test_symmetrized_laplacian_matches_lil_fold(grid8, spec8):
+    # lab.json is computed from this matrix
+    for grid, spec in ((grid8, spec8), _zero_entry_case()):
+        for j in range(grid.j_max + 1):
+            assert (symmetrized_laplacian(grid, spec, j).tobytes()
+                    == _lil_symmetrized(grid, spec, j).tobytes()), j
 
 
 @pytest.mark.parametrize("equation,order", [("cahn-hilliard", 4),
@@ -281,29 +296,22 @@ def test_dtheta_matches_dense_product(grid8):
     assert plan.dtheta(co).tobytes() == ref.tobytes()
 
 
-def test_apply_modewise_matches_per_mode_product(grid8, spec8, tall):
-    # the per-mode CSR products of apply_modewise, and the whole-field
-    # stencil through FieldOperator and Stepper.laplace
+def test_field_operator_matches_per_mode_product(grid8, spec8, tall):
+    # the whole-field stencil through FieldOperator and Stepper.laplace
+    # against each mode's LIL-built matrix as a CSR product
     rng = np.random.default_rng(8)
     for grid, spec in ((grid8, spec8), tall, _zero_entry_case()):
         co = rng.normal(size=(grid.n_nodes, grid.n_channels))
         co[::4, 0] = -0.0
         co[:, -1] = -0.0                          # -0.0 products, summed from +0
-        laps = laplacian_suite(grid, spec)
-        for ops in (laps, bilaplacian_suite(grid, spec, laps)):
-            ref = np.empty_like(co)
-            for j in range(grid.j_max + 1):
-                cols = _mode_columns(grid, j)
-                ref[:, cols] = ops[j].matrix @ co[:, cols]
-            assert np.signbit(ref[:, -1]).sum() == 0
-            got = [apply_modewise(ops, co, grid)]
-            if ops is laps:
-                got.append(FieldOperator(laps).apply(co))
-                if grid.cs.geometry == "circle":
-                    got.append(Stepper(spec, grid, 1e-3).laplace(co))
-            for out in got:
-                assert out.flags.c_contiguous
-                assert out.tobytes() == ref.tobytes()
+        ref = _lil_product(grid, spec, co)
+        assert np.signbit(ref[:, -1]).sum() == 0
+        got = [FieldOperator(laplacian_suite(grid, spec)).apply(co)]
+        if grid.cs.geometry == "circle":
+            got.append(Stepper(spec, grid, 1e-3).laplace(co))
+        for out in got:
+            assert out.flags.c_contiguous
+            assert out.tobytes() == ref.tobytes()
 
 
 def _full_height_flux_divergence(s, z, grid):
@@ -344,9 +352,8 @@ def test_row_blocks_match_full_height(monkeypatch, request, block_bytes,
     want = _full_height_flux_divergence(cubic, z, grid).tobytes()
     got = flux_divergence(_transport(evaluation[0]), z, grid, evaluation)
     assert got.tobytes() == want and evaluation == []
-    laps = laplacian_suite(grid, spec)
-    assert (FieldOperator(laps).apply(z).tobytes()
-            == apply_modewise(laps, z, grid).tobytes())
+    assert (FieldOperator(laplacian_suite(grid, spec)).apply(z).tobytes()
+            == _lil_product(grid, spec, z).tobytes())
 
 
 @pytest.mark.parametrize("grid_name,spec_name", [("grid8", "spec8"), ("grid64", "spec64")])

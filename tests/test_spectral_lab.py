@@ -87,6 +87,9 @@ def test_symmetrized_laplacian_spd_after_shift(cs8, spec8):
     assert np.max(np.abs(S - S.T)) == 0.0
     eigs = np.linalg.eigvalsh(10.0 * np.eye(S.shape[0]) + S)
     assert np.min(eigs) > 0.0
+    for mode in (-1, 2):
+        with pytest.raises(ValueError, match="outside the grid truncation"):
+            symmetrized_laplacian(grid, spec8, mode)
 
 
 def test_lab_report_defaults(cs8, spec8):
