@@ -14,8 +14,9 @@ Every mode's stencil is held in one stacked array (RadialOperator),
 together with the tip decay ratios, which are computed there once.  It
 is the only form of the radial Laplacian: the whole-field Laplacian
 (FieldOperator) applies it to every channel, each entry stored once,
-and the stepper's implicit band rows (evolve.implicit_bands) are built
-from it in whole-array arithmetic.
+and the stepper's implicit systems (evolve.implicit_bands) are built
+from it in whole-array arithmetic, straight into one array in LAPACK
+band storage.
 
 The angular transform oversamples to at least 4 j_max + 5 physical
 points so that projecting a product of three band-limited factors back
@@ -23,8 +24,9 @@ onto the retained modes is exact (plain 3/2 padding is not enough for
 the cubic terms; see notes).  Below j_max = 64 it is a dense product
 with the synthesis matrix on exactly 4 j_max + 5 angles; from j_max = 64
 on it is a real FFT on the least 5-smooth grid of at least that many
-angles.  The switch sits at the measured crossover: on one thread the
-dense product is faster at j_max = 32 and the FFT at 64 and above.
+angles, which builds the synthesis matrix only if it is read.  The
+switch sits at the measured crossover: on one thread the dense product
+is faster at j_max = 32 and the FFT at 64 and above.
 """
 
 from dataclasses import InitVar, dataclass
@@ -106,12 +108,14 @@ class FieldOperator:
     clip(i, 1, N - 1) - 1 + s (RadialOperator.vals and cols).  Each is
     stored once: the interior sub- and super-diagonal entries
     e^(2t)(1/h^2 +- (n-1)/2h) do not depend on the mode, so lower and
-    upper are one (N - 1, 1) column each; diag holds the interior
+    upper are one (N - 1,) vector each; diag holds the interior
     diagonal per channel, and ends[k, s, c] entry s of image row 0
     (k = 0) and N (k = 1).  The interior rows are three shifted
     whole-array products, two of them through a row-block scratch, and
     the two image rows reuse their neighbour's columns.  Each row sums
     its three products in column order and adds the sum to +0.0, which
+    makes the sign of a zero product irrelevant (einsum's products of
+    lower and upper come out +0.0 where a multiply gives -0.0) and
     gives the bits of a sparse product with the mode's matrix stored
     without zeros: that sums the stored entries from +0.0, and a zero
     entry, which it does not store, adds a zero here that changes no bit
@@ -122,8 +126,8 @@ class FieldOperator:
         vals = laps.vals
         N = vals.shape[1] - 1
         modes = laps.grid.channel_modes
-        self.lower = vals[0, 1:N, 0, np.newaxis].copy()
-        self.upper = vals[0, 1:N, 2, np.newaxis].copy()
+        self.lower = vals[0, 1:N, 0].copy()
+        self.upper = vals[0, 1:N, 2].copy()
         # C order like the field: a product of mixed layouts runs buffered
         self.diag = vals[:, 1:N, 1].T.take(modes, axis=1)
         self.ends = vals[:, [0, N]].transpose(1, 2, 0).take(modes, axis=2)
@@ -132,7 +136,9 @@ class FieldOperator:
         N = coeffs.shape[0] - 1
         out = np.empty(coeffs.shape)
         inner = out[1:N]
-        np.multiply(self.lower, coeffs[:N - 1], out=inner)
+        # row-scaled products go through einsum: a broadcast multiply
+        # runs buffered and allocates a ufunc buffer on every call
+        np.einsum("i,ij->ij", self.lower, coeffs[:N - 1], out=inner)
         rows = block_rows(coeffs.shape[1])
         scratch = np.empty((min(rows, N - 1), coeffs.shape[1]))
         for lo in range(0, N - 1, rows):
@@ -140,7 +146,7 @@ class FieldOperator:
             tmp = scratch[:hi - lo]
             np.multiply(self.diag[lo:hi], coeffs[lo + 1:hi + 1], out=tmp)
             inner[lo:hi] += tmp
-            np.multiply(self.upper[lo:hi], coeffs[lo + 2:hi + 2], out=tmp)
+            np.einsum("i,ij->ij", self.upper[lo:hi], coeffs[lo + 2:hi + 2], out=tmp)
             inner[lo:hi] += tmp
         for (lo, mid, hi), i, c in zip(self.ends, (0, N), (1, N - 1)):
             out[i] = lo * coeffs[c - 1] + mid * coeffs[c] + hi * coeffs[c + 1]
@@ -166,9 +172,9 @@ class TransformPlan:
     at least 4 j_max + 5: scipy.fftpack's packed real spectrum
     [y0, Re y1, Im y1, Re y2, ...] is already the channel order (0, 0),
     (1, 0), (1, 1), (2, 0), ..., so each transform is one FFT and one
-    per-channel scale; S is then kept only as the reference.  The plan
-    keeps no reference to its grid, which caches it: a cycle would
-    outlive both until the cyclic collector runs.
+    per-channel scale; S is then only a reference, built the first time
+    it is read.  The plan keeps no reference to its grid, which caches
+    it: a cycle would outlive both until the cyclic collector runs.
     """
 
     grid: InitVar[ConeGrid]
@@ -193,8 +199,8 @@ class TransformPlan:
             self.m = self.n_phys or max(pad, 8)
         L = float(cs.circumference)
         self.theta = L * np.arange(self.m) / self.m
-        self.S = np.column_stack([cs.evaluate(j, k, self.theta)
-                                  for j, k in grid.channels])
+        self._cs, self._channels = cs, grid.channels
+        self._S = None if use_fft else self._synthesis_matrix()
         # d_theta sends cos(w theta) to -w sin(w theta) and sin to
         # w cos: output channel c is weight[c] times input channel
         # partner[c]; mode 0 has weight zero
@@ -219,6 +225,17 @@ class TransformPlan:
         else:
             self._synth_scale = self._analysis_scale = None
             self._analysis = (L / self.m) * self.S
+
+    def _synthesis_matrix(self) -> np.ndarray:
+        return np.column_stack([self._cs.evaluate(j, k, self.theta)
+                                for j, k in self._channels])
+
+    @property
+    def S(self) -> np.ndarray:
+        """The synthesis matrix; the FFT path builds it at the first read."""
+        if self._S is None:
+            self._S = self._synthesis_matrix()
+        return self._S
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         if self._synth_scale is None:

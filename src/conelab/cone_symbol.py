@@ -21,6 +21,7 @@ coincidence is decided with an absolute tolerance of 1e-9.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,7 +110,11 @@ class PoleEntry:
 
 @dataclass
 class PoleCatalog:
-    """Poles of 1/P_j (source "laplacian") or 1/(P_j(.+2) P_j) ("bilaplacian")."""
+    """Poles of 1/P_j (source "laplacian") or 1/(P_j(.+2) P_j) ("bilaplacian").
+
+    The entries are indexed by mode when the catalog is built, and
+    for_mode reads that index: change a catalog by building a new one.
+    """
 
     n: int
     source: str
@@ -119,11 +124,14 @@ class PoleCatalog:
         # sorted by location descending; (location, mode) pairs unique
         self.entries = sorted(self.entries, key=lambda e: (-e.location, e.mode))
         seen = set()
+        by_mode = {}
         for e in self.entries:
             key = (round(e.location / MERGE_TOL), e.mode)
             if key in seen:
                 raise ValueError("duplicate (location, mode) pair in pole catalog")
             seen.add(key)
+            by_mode.setdefault(e.mode, []).append(e)
+        self._by_mode = {j: tuple(es) for j, es in by_mode.items()}
 
     def __iter__(self):
         return iter(self.entries)
@@ -131,11 +139,22 @@ class PoleCatalog:
     def __len__(self):
         return len(self.entries)
 
+    def copy(self) -> "PoleCatalog":
+        """A catalog equal to this one with its own entry list and index.
+
+        The entries themselves are frozen and shared.
+        """
+        out = copy.copy(self)
+        out.entries = list(self.entries)
+        out._by_mode = dict(self._by_mode)
+        return out
+
     def locations(self) -> np.ndarray:
         return np.array([e.location for e in self.entries])
 
     def for_mode(self, j: int) -> list:
-        return [e for e in self.entries if e.mode == j]
+        """The entries of mode j in catalog order, looked up in the index."""
+        return list(self._by_mode.get(j, ()))
 
     def min_distance(self, z: complex) -> float:
         if not self.entries:
@@ -169,19 +188,25 @@ def compute_poles(cs: CrossSection) -> PoleCatalog:
     """Pole catalog of the inverted second-order symbol.
 
     One entry per root of P_j per mode; a single order-2 entry when the two
-    roots coincide (for lam_0 = 0 this happens iff n = 1).
+    roots coincide (for lam_0 = 0 this happens iff n = 1).  The catalog is
+    computed once per cross-section and stored on it; each call returns
+    its own copy (PoleCatalog.copy), so no caller changes another's.
     """
-    entries = []
-    for j in range(cs.n_modes):
-        (qp_f, qp_e), (qm_f, qm_e) = _mode_roots(cs, j)
-        if qp_e is not None and qp_e == qm_e:
-            entries.append(PoleEntry(qp_f, 2, j, "direct", qp_e))
-        elif qp_e is None and abs(qp_f - qm_f) <= MERGE_TOL:
-            entries.append(PoleEntry(0.5 * (qp_f + qm_f), 2, j, "direct", None))
-        else:
-            entries.append(PoleEntry(qp_f, 1, j, "direct", qp_e))
-            entries.append(PoleEntry(qm_f, 1, j, "direct", qm_e))
-    return PoleCatalog(n=cs.n, source="laplacian", entries=entries)
+    catalog = getattr(cs, "_pole_catalog", None)
+    if catalog is None:
+        entries = []
+        for j in range(cs.n_modes):
+            (qp_f, qp_e), (qm_f, qm_e) = _mode_roots(cs, j)
+            if qp_e is not None and qp_e == qm_e:
+                entries.append(PoleEntry(qp_f, 2, j, "direct", qp_e))
+            elif qp_e is None and abs(qp_f - qm_f) <= MERGE_TOL:
+                entries.append(PoleEntry(0.5 * (qp_f + qm_f), 2, j, "direct", None))
+            else:
+                entries.append(PoleEntry(qp_f, 1, j, "direct", qp_e))
+                entries.append(PoleEntry(qm_f, 1, j, "direct", qm_e))
+        catalog = PoleCatalog(n=cs.n, source="laplacian", entries=entries)
+        cs._pole_catalog = catalog
+    return catalog.copy()
 
 
 def compute_bilaplacian_poles(

@@ -37,6 +37,9 @@ __all__ = [
 class CrossSection:
     """Spectral description of the cone's cross section.
 
+    A cross section is not changed after it is built:
+    cone_symbol.compute_poles stores its pole catalog on it.
+
     Attributes
     ----------
     n : int

@@ -52,9 +52,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from .assembly import (FieldOperator, RadialOperator, cubic_field,
-                       flux_divergence, laplacian_suite, mode_slices,
-                       transform_plan)
+from .assembly import (FieldOperator, RadialOperator, block_rows,
+                       cubic_field, flux_divergence, laplacian_suite,
+                       mode_slices, transform_plan)
 from .config import DEFAULTS, EQUATIONS, Config
 from .extensions import ExtensionSpec
 from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
@@ -86,24 +86,24 @@ def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldStat
     return u.like(u.coeffs - cubic_field(u, values).coeffs)
 
 
-def banded_lu(R: np.ndarray) -> tuple:
-    """LU factors of the square matrix with rows R[i, kl + k] = A[i, i + k].
+def banded_lu(ab: np.ndarray) -> tuple:
+    """LU factors of a square matrix held in LAPACK band storage.
 
-    Tridiagonal matrices go to dgttrf and wider ones to dgbtrf: the
-    factorizations inside the gtsv and gbsv drivers that
+    ab is (3 kl + 1, n) with entry (i, i + k) of the matrix at
+    ab[2 kl - k, i + k] and kl rows of fill-in space on top: the layout
+    of dgbtrf, which is solve_banded's bands below kl spare rows.
+    Tridiagonal matrices (kl = 1) go to dgttrf and wider ones to
+    dgbtrf: the factorizations inside the gtsv and gbsv drivers that
     scipy.linalg.solve_banded uses, so banded_solve returns the same
-    bits as solve_banded on the same bands.
+    bits as solve_banded on the same bands.  dgbtrf factors a
+    Fortran-contiguous float64 ab in place, and its factors are then a
+    view of ab; any other ab is copied first.
     """
-    m, width = R.shape
-    kl = width // 2
+    kl = (ab.shape[0] - 1) // 3
     if kl == 1:
-        *factors, info = lapack.dgttrf(R[1:, 0], R[:, 1], R[:-1, 2])
+        *factors, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
     else:
-        # LAPACK band storage, with kl extra rows for the pivoting fill-in
-        ab = np.zeros((3 * kl + 1, m))
-        for k in range(-kl, kl + 1):
-            ab[2 * kl - k, max(0, k):m + min(0, k)] = R[max(0, -k):m - max(0, k), kl + k]
-        *factors, info = lapack.dgbtrf(ab, kl, kl)
+        *factors, info = lapack.dgbtrf(ab, kl, kl, overwrite_ab=1)
     if info != 0:
         raise LinAlgError(f"singular banded system (LAPACK info {info})")
     return tuple(factors)
@@ -126,47 +126,77 @@ def banded_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
 
 def implicit_bands(laps: RadialOperator, dt: float,
                    order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-scaled band rows of every mode's constrained implicit system.
+    """Row-scaled LAPACK band storage of every mode's constrained implicit system.
 
-    Returns (R, d): R[j, i, kl + k] is entry (i, i + k) of mode j's
-    system, I + dt (P^2 + P) with kl = 2 for order 4 and I - dt P with
-    kl = 1 for order 2, with rows 0 and N replaced by the constraint
-    rows and row i scaled by d[j, i].  R is a view of one array that
-    holds each band diagonal contiguously.  The arithmetic is that of
-    the sparse route, I + dt (P @ P + P) on the CSR matrices: each entry
-    of a row of P @ P sums P[r, jj] P[jj, :] from +0.0 over jj = r - 1,
-    r, r + 1 in that order, and an entry off the diagonal is 0 + x.
+    Returns (AB, d): AB[j] is mode j's system I + dt (P^2 + P) with
+    kl = 2 for order 4 and I - dt P with kl = 1 for order 2, rows 0 and
+    N replaced by the constraint rows and row i scaled by d[j, i], in
+    banded_lu's layout: a Fortran-contiguous (3 kl + 1, N + 1) view of
+    one array, with entry (i, i + k) at AB[j, 2 kl - k, i + k] and zero
+    fill-in rows, which dgbtrf factors in place.  A few modes at a time
+    are built and scaled in a scratch that holds each band diagonal
+    contiguously and stays in cache, then copied into AB.  The
+    arithmetic is that of the sparse route, I + dt (P @ P + P) on the
+    CSR matrices: each entry of a row of P @ P sums P[r, jj] P[jj, :]
+    from +0.0 over jj = r - 1, r, r + 1 in that order, and an entry off
+    the diagonal is 0 + x.
     """
     P = laps.vals
     nm, m, _ = P.shape
-    N = m - 1
     kl = 2 if order == 4 else 1
-    # D[j, kl + k, i] = entry (i, i + k) of mode j's system
-    D = np.zeros((nm, 2 * kl + 1, m))
-    if order == 4:
-        prod = np.empty((nm, N - 1))
+    AB = np.zeros((nm, m, 3 * kl + 1)).transpose(0, 2, 1)
+    d = np.empty((nm, m))
+    tip = laps.tip_ratio(order)
+    step = block_rows((2 * kl + 1) * m)
+    scratch = np.empty((min(step, nm), 2 * kl + 1, m))
+    for lo in range(0, nm, step):
+        hi = min(lo + step, nm)
+        modes = slice(lo, hi)
+        D = scratch[:hi - lo]
+        # the stencil's columns as contiguous rows, like D's diagonals
+        _unscaled_bands(D, P[modes].transpose(0, 2, 1).copy(), tip[modes], dt)
+        # row equilibration by exact powers of two: the e^(4t) dynamic
+        # range otherwise costs the banded LU ~14 digits, which stalls
+        # the Picard iteration on solver rounding noise; power-of-two
+        # scales keep zero right-hand sides bitwise zero
+        d[modes] = np.exp2(-np.round(np.log2(np.abs(D).max(axis=1))))
+        D *= d[modes, np.newaxis]
+        for k in range(-kl, kl + 1):
+            # entry (i, i + k) of the rows i that have it
+            i0, i1 = max(0, -k), m - max(0, k)
+            AB[modes, 2 * kl - k, i0 + k:i1 + k] = D[:, kl + k, i0:i1]
+    return AB, d
+
+
+def _unscaled_bands(D: np.ndarray, S: np.ndarray, tip: np.ndarray, dt: float):
+    """D[j, kl + k, i] = entry (i, i + k) of the unscaled systems of a block of modes.
+
+    S[j, s, r] is the stencil entry RadialOperator.vals[j, r, s] of each.
+    """
+    m = S.shape[2]
+    N = m - 1
+    kl = D.shape[1] // 2
+    D.fill(0.0)
+    if kl == 2:
+        prod = np.empty((len(S), 3, N - 1))
         for s in range(3):
             # rows r whose neighbour jj = r - 1 + s is interior: its columns
             # jj - 1 .. jj + 1 sit at band offsets s - 2 .. s
             lo, hi = (2 if s == 0 else 1), (N - 1 if s == 2 else N)
-            tmp = prod[:, :hi - lo]
-            for q in range(3):
-                np.multiply(P[:, lo:hi, s], P[:, lo - 1 + s:hi - 1 + s, q], out=tmp)
-                D[:, s + q, lo:hi] += tmp
+            tmp = prod[:, :, :hi - lo]
+            np.multiply(S[:, s, np.newaxis, lo:hi], S[:, :, lo - 1 + s:hi - 1 + s], out=tmp)
+            D[:, s:s + 3, lo:hi] += tmp
             # the image rows hold their neighbour's columns: 0 .. 2 for
             # row 0, reached from row 1, and N - 2 .. N for row N, from N - 1
             if s == 0:
-                D[:, 1:4, 1] += P[:, 1, 0, np.newaxis] * P[:, 0]
+                D[:, 1:4, 1] += S[:, 0, 1, np.newaxis] * S[:, :, 0]
             elif s == 2:
-                D[:, 1:4, N - 1] += P[:, N - 1, 2, np.newaxis] * P[:, N]
-        del prod, tmp
-        for s in range(3):
-            D[:, 1 + s, 1:N] += P[:, 1:N, s]
+                D[:, 1:4, N - 1] += S[:, 2, N - 1, np.newaxis] * S[:, :, N]
+        D[:, 1:4, 1:N] += S[:, :, 1:N]
         D *= dt
         D += 0.0                    # 0 + x turns a -0.0 into +0.0
     else:
-        for s in range(3):
-            np.multiply(P[:, 1:N, s], dt, out=D[:, s, 1:N])
+        np.multiply(S[:, :, 1:N], dt, out=D[:, :, 1:N])
         np.subtract(0.0, D, out=D)  # 0 - x, never -0.0
     D[:, kl] += 1.0
     # the end rows, the only ones reaching past the band, become the
@@ -175,18 +205,8 @@ def implicit_bands(laps: RadialOperator, dt: float,
     D[:, kl, 0] = 1.0
     D[:, kl + 1, 0] = -1.0
     D[:, :, N] = 0.0
-    D[:, kl - 1, N] = -laps.tip_ratio(order)
+    D[:, kl - 1, N] = -tip
     D[:, kl, N] = 1.0
-    # row equilibration by exact powers of two: the e^(4t) dynamic
-    # range otherwise costs the banded LU ~14 digits, which stalls
-    # the Picard iteration on solver rounding noise; power-of-two
-    # scales keep zero right-hand sides bitwise zero
-    rowmax = np.abs(D[:, 0])
-    for k in range(1, 2 * kl + 1):
-        np.maximum(rowmax, np.abs(D[:, k]), out=rowmax)
-    d = np.exp2(-np.round(np.log2(rowmax)))
-    D *= d[:, np.newaxis]
-    return D.transpose(0, 2, 1), d
 
 
 def _transport(values: np.ndarray) -> Callable[[slice], np.ndarray]:
@@ -203,11 +223,13 @@ class Stepper:
 
     Every mode's Laplacian comes from one stacked three-point stencil
     (assembly.RadialOperator), which FieldOperator applies to the whole
-    field and implicit_bands turns into every mode's band rows, both in
-    whole-array arithmetic.  Each mode's system is factored once, here:
-    banded LU for the pentadiagonal conserved-flow system, tridiagonal LU
-    for the relaxational one (the LAPACK routines solve_banded would call).
-    Row i of mode j's system is scaled by _row_scale[j, i], held per mode.
+    field and implicit_bands turns into every mode's system, both in
+    whole-array arithmetic.  The systems are one array in LAPACK band
+    storage, checked for finiteness once and factored here, each mode's
+    block in place: banded LU for the pentadiagonal conserved-flow
+    system, tridiagonal LU for the relaxational one (the LAPACK routines
+    solve_banded would call).  Row i of mode j's system is scaled by
+    _row_scale[j, i], held per mode.
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
@@ -228,19 +250,16 @@ class Stepper:
         order = 4 if equation == "cahn-hilliard" else 2
         modes = grid.channel_modes
         self.tip_ratio = laps.tip_ratio(order)[modes]
-        R, d = implicit_bands(laps, self.dt, order)
+        AB, d = implicit_bands(laps, self.dt, order)
         del laps                    # the stencil is not kept past the build
+        bad = np.flatnonzero(~np.isfinite(AB).all(axis=(1, 2)))
+        if bad.size:
+            raise LinAlgError(f"implicit system of mode {bad[0]} is not finite")
         self._modes = mode_slices(grid)
-        self._factors = [self._factor(j, rows) for j, rows in enumerate(R)]
-        del R
+        # each mode's block of AB is factored in place
+        self._factors = [banded_lu(ab) for ab in AB]
+        del AB
         self._row_scale = d
-
-    @staticmethod
-    def _factor(j: int, rows: np.ndarray) -> tuple:
-        """LU factors of mode j's band rows from implicit_bands."""
-        if not np.all(np.isfinite(rows)):
-            raise LinAlgError(f"implicit system of mode {j} is not finite")
-        return banded_lu(rows)
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
         return self.lap.apply(coeffs)

@@ -2,7 +2,8 @@
 
 bench/tracing.instrument patches names by attribute and skips a name it
 does not find, so a renamed boundary would read as an absent span rather
-than fail.  One small traced conserved run must fire every span below.
+than fail.  A small traced conserved run on either transform path must
+fire every span below.
 """
 
 import importlib.util
@@ -24,17 +25,28 @@ def _bench_module(name: str):
     return module
 
 
-def test_traced_conserved_run_fires_every_layer_span():
+def _assert_traced_run_fires_every_layer_span(j_max: int):
     tracing = _bench_module("tracing")
     tracer = tracing.Tracer()
     flux_divergence = evolve.flux_divergence
     undo = tracing.instrument(tracer)
     tracer.enabled = True
     try:
-        run(RunConfig(j_max=4, t_max=3.0, delta_t=0.05, T=0.002))
+        run(RunConfig(j_max=j_max, t_max=3.0, delta_t=0.05, T=0.002))
     finally:
         tracer.enabled = False
         undo()
     assert SPANS <= set(tracer.names)
     assert tracer.names.count("flux_divergence") == tracer.names.count("stepper.step") == 2
+    assert tracer.counters["transform.bytes_computed"] > 0
     assert evolve.flux_divergence is flux_divergence
+
+
+def test_traced_conserved_run_fires_every_layer_span():
+    _assert_traced_run_fires_every_layer_span(4)
+
+
+def test_traced_fft_run_fires_every_layer_span():
+    # the FFT transforms build their synthesis matrix only when the
+    # tracer's byte counter reads it
+    _assert_traced_run_fires_every_layer_span(64)

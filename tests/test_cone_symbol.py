@@ -138,3 +138,27 @@ def test_symbolic_laplacian_log_branch():
 def test_asymptotic_term_rejects_high_log_powers():
     with pytest.raises(ValueError):
         AsymptoticTerm(1, 2, 0)
+
+
+@pytest.mark.parametrize("geometry", ["circle", "sphere"])
+def test_for_mode_matches_an_entry_scan(geometry):
+    # for_mode reads the index built with the catalog
+    if geometry == "circle":
+        cs = make_circle(2.0 * np.pi, max_mode=128)
+    else:
+        cs = make_sphere(2, max_degree=8)
+    cat = compute_poles(cs)
+    for catalog in (cat, compute_bilaplacian_poles(cat, cs)):
+        for j in range(cs.n_modes + 1):         # the last mode has no entries
+            assert catalog.for_mode(j) == [e for e in catalog.entries if e.mode == j]
+
+
+def test_compute_poles_hands_out_independent_copies():
+    # the catalog is computed once per cross-section; each caller owns its copy
+    cs = make_circle(2.0 * np.pi, max_mode=8)
+    first, second = compute_poles(cs), compute_poles(cs)
+    assert first == second and first is not second
+    first.entries.clear()
+    first.for_mode(1).clear()
+    assert second == compute_poles(cs) == compute_poles(make_circle(2.0 * np.pi, max_mode=8))
+    assert len(second) == 17 and len(second.for_mode(1)) == 2

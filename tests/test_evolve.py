@@ -318,6 +318,18 @@ def test_stepper_live_size(default_context):
     assert _traced_fields(lambda: Stepper(spec, grid, 1e-3), grid)[0] <= 6.5
 
 
+def test_stepper_live_size_on_a_fresh_wide_grid():
+    # on the benchmark's large grid a Stepper also builds the grid's
+    # transform plan; its FFT path keeps no synthesis matrix, which took
+    # 0.45 fields of the 5.77 kept
+    cs = make_circle(2.0 * np.pi, max_mode=128)
+    spec = build_extension(cs, default_weight(cs), 2.0)
+    grid = ConeGrid(cs, 12.0, 1200, j_max=128)
+    kept, _ = _traced_fields(
+        lambda: Stepper(spec, ConeGrid(cs, 12.0, 1200, j_max=128), 1e-3), grid)
+    assert kept <= 5.4
+
+
 def test_conserved_step_peak_allocation(default_context):
     # given its evaluation, a step forms 3 u_n^2, the radial midpoints and
     # the fluxes a row block at a time and writes the divergence over the

@@ -141,3 +141,15 @@ def test_reconciliation_guard_is_wired(cs8, monkeypatch):
     monkeypatch.setattr(ext, "_surviving_functions", tampered)
     with pytest.raises(InconsistentDomainError):
         bilaplacian_domain(spec)
+
+
+@pytest.mark.parametrize("j_max", [8, 128])
+def test_extension_is_the_same_on_a_shared_cross_section(j_max):
+    # default_weight and build_extension share the catalog stored on cs;
+    # a caller that changes its own copy of it changes neither
+    fresh = make_circle(2.0 * np.pi, max_mode=j_max)
+    want = build_extension(fresh, default_weight(fresh), 2.0).to_json_dict()
+    shared = make_circle(2.0 * np.pi, max_mode=j_max)
+    for _ in range(2):
+        assert build_extension(shared, default_weight(shared), 2.0).to_json_dict() == want
+        compute_poles(shared).entries.clear()

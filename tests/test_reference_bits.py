@@ -114,13 +114,9 @@ def _mode_columns(grid, j):
     return np.nonzero(grid.channel_modes == j)[0]
 
 
-def _band_rows(ab, kl):
-    """banded_lu's rows R[i, kl + k] = A[i, i + k] from solve_banded's bands."""
-    m = ab.shape[1]
-    R = np.zeros((m, 2 * kl + 1))
-    for k in range(-kl, kl + 1):
-        R[max(0, -k):m - max(0, k), kl + k] = ab[kl - k, max(0, k):m + min(0, k)]
-    return R
+def _lapack_bands(ab, kl):
+    """banded_lu's band storage: solve_banded's bands below kl zero rows."""
+    return np.asfortranarray(np.vstack([np.zeros((kl, ab.shape[1])), ab]))
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +145,7 @@ def _assert_stepper_matches_lil_bands(st, order):
                      for j in grid.channel_modes.tolist()])
     assert st.tip_ratio.tobytes() == np.exp(-exps * grid.dt).tobytes()
     for j, ((kl, _), ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
-        want = banded_lu(_band_rows(ab, kl))
+        want = banded_lu(_lapack_bands(ab, kl))
         assert [f.tobytes() for f in st._factors[j]] == [f.tobytes() for f in want], j
         assert st._row_scale[j].tobytes() == d.tobytes(), j
 
@@ -234,9 +230,10 @@ def test_stepper_matches_lil_bands_on_circle_grids(t_max, n_radial, j_max, dt, f
 def test_implicit_bands_match_lil_bands_with_zero_entries(order):
     # Stepper rejects spheres, so the band builder is called directly
     grid, spec = _zero_entry_case()
-    R, d = implicit_bands(RadialOperator(grid, spec), 1e-3, order)
+    AB, d = implicit_bands(RadialOperator(grid, spec), 1e-3, order)
     for j, ((kl, _), ab, dj) in enumerate(_lil_bands(grid, spec, 1e-3, order)):
-        assert R[j].tobytes() == _band_rows(ab, kl).tobytes()
+        assert AB[j].flags.f_contiguous
+        assert AB[j].tobytes() == _lapack_bands(ab, kl).tobytes()
         assert d[j].tobytes() == dj.tobytes()
 
 
@@ -259,14 +256,15 @@ def test_banded_lu_matches_solve_banded_and_rejects_singular(kl):
     for k in range(-kl, kl + 1):
         ab[kl - k, max(0, k):m + min(0, k)] = R[max(0, -k):m - max(0, k), kl + k]
     b = rng.normal(size=(m, 2))
-    got = banded_solve(banded_lu(R), b)
+    got = banded_solve(banded_lu(_lapack_bands(ab, kl)), b)
     assert got.tobytes() == solve_banded((kl, kl), ab, b).tobytes()
+    # dgbtrf factors a Fortran-ordered float64 band array in place
+    lapack_ab = _lapack_bands(ab, kl)
+    assert np.shares_memory(banded_lu(lapack_ab)[0], lapack_ab) == (kl == 2)
     # zero every entry of column 3: the matrix is singular
-    for i in range(m):
-        if -kl <= 3 - i <= kl:
-            R[i, kl + 3 - i] = 0.0
+    ab[:, 3] = 0.0
     with pytest.raises(LinAlgError):
-        banded_lu(R)
+        banded_lu(_lapack_bands(ab, kl))
 
 
 def test_stepper_rejects_nonfinite_rhs(grid8, spec8):
