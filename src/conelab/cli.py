@@ -124,13 +124,11 @@ def _write_csv(path: str, header, rows):
 
 def _cmd_poles(cfg: CliConfig, out: str) -> int:
     cs = cfg.cross_section()
-    catalog = compute_poles(cs)
-    cat4 = compute_bilaplacian_poles(catalog, cs)
     payload = {
         "geometry": cfg.geometry,
         "n": cs.n,
-        "laplacian": catalog.to_json_dict(),
-        "bilaplacian": cat4.to_json_dict(),
+        "laplacian": compute_poles(cs).to_json_dict(),
+        "bilaplacian": compute_bilaplacian_poles(cs).to_json_dict(),
     }
     if cfg.geometry == "circle":
         payload["circumference"] = cfg.L
@@ -139,9 +137,8 @@ def _cmd_poles(cfg: CliConfig, out: str) -> int:
 
 
 def _cmd_domain(cfg: CliConfig, out: str) -> int:
-    _, spec = cfg.extension()
     payload = {"geometry": cfg.geometry}
-    payload.update(spec.to_json_dict())
+    payload.update(cfg.extension().to_json_dict())
     _write_text(os.path.join(out, "domain.json"), _ser(payload) + "\n")
     return 0
 
@@ -205,8 +202,8 @@ def _cmd_norms(cfg: CliConfig, out: str) -> int:
 
 
 def _cmd_lab(cfg: CliConfig, out: str) -> int:
-    cs, spec = cfg.extension()
-    grid = ConeGrid(cs, cfg.lab_t_max, cfg.lab_n_radial, j_max=max(cfg.lab_mode, 1))
+    spec = cfg.extension()
+    grid = ConeGrid(spec.cs, cfg.lab_t_max, cfg.lab_n_radial, j_max=max(cfg.lab_mode, 1))
     report = lab_report(grid, spec, mode=cfg.lab_mode, shift=cfg.lab_shift,
                         theta=cfg.lab_theta, contour_theta=cfg.lab_contour_theta,
                         beta=cfg.lab_beta, phi=cfg.lab_phi,
@@ -219,10 +216,8 @@ def _cmd_lab(cfg: CliConfig, out: str) -> int:
 
 
 def _cmd_asympt(cfg: CliConfig, out: str) -> int:
-    config = cfg.to_run_config()
-    cs, spec = cfg.extension()
-    grid = ConeGrid(cs, config.t_max, config.n_radial, j_max=config.j_max)
-    snaps, _ = run(config, context=(spec, grid), diagnostics=False)
+    spec, grid = cfg.context()
+    snaps, _ = run(cfg.to_run_config(), context=(spec, grid), diagnostics=False)
     final = snaps[-1]
     rows = []
     for j in range(final.grid.j_max + 1):

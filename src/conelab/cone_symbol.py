@@ -21,9 +21,8 @@ coincidence is decided with an absolute tolerance of 1e-9.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -112,17 +111,18 @@ class PoleEntry:
 class PoleCatalog:
     """Poles of 1/P_j (source "laplacian") or 1/(P_j(.+2) P_j) ("bilaplacian").
 
-    The entries are indexed by mode when the catalog is built, and
-    for_mode reads that index: change a catalog by building a new one.
+    entries is a tuple of frozen entries, indexed by mode when the catalog
+    is built; for_mode reads that index.  Nothing in a catalog can be
+    changed, so one catalog is shared by every caller.
     """
 
     n: int
     source: str
-    entries: list = field(default_factory=list)
+    entries: tuple = ()
 
     def __post_init__(self):
         # sorted by location descending; (location, mode) pairs unique
-        self.entries = sorted(self.entries, key=lambda e: (-e.location, e.mode))
+        self.entries = tuple(sorted(self.entries, key=lambda e: (-e.location, e.mode)))
         seen = set()
         by_mode = {}
         for e in self.entries:
@@ -139,22 +139,12 @@ class PoleCatalog:
     def __len__(self):
         return len(self.entries)
 
-    def copy(self) -> "PoleCatalog":
-        """A catalog equal to this one with its own entry list and index.
-
-        The entries themselves are frozen and shared.
-        """
-        out = copy.copy(self)
-        out.entries = list(self.entries)
-        out._by_mode = dict(self._by_mode)
-        return out
-
     def locations(self) -> np.ndarray:
         return np.array([e.location for e in self.entries])
 
-    def for_mode(self, j: int) -> list:
+    def for_mode(self, j: int) -> tuple:
         """The entries of mode j in catalog order, looked up in the index."""
-        return list(self._by_mode.get(j, ()))
+        return self._by_mode.get(j, ())
 
     def min_distance(self, z: complex) -> float:
         if not self.entries:
@@ -189,8 +179,8 @@ def compute_poles(cs: CrossSection) -> PoleCatalog:
 
     One entry per root of P_j per mode; a single order-2 entry when the two
     roots coincide (for lam_0 = 0 this happens iff n = 1).  The catalog is
-    computed once per cross-section and stored on it; each call returns
-    its own copy (PoleCatalog.copy), so no caller changes another's.
+    computed once per cross-section and stored on it; every call returns
+    that one catalog, which no caller can change.
     """
     catalog = getattr(cs, "_pole_catalog", None)
     if catalog is None:
@@ -206,27 +196,20 @@ def compute_poles(cs: CrossSection) -> PoleCatalog:
                 entries.append(PoleEntry(qm_f, 1, j, "direct", qm_e))
         catalog = PoleCatalog(n=cs.n, source="laplacian", entries=entries)
         cs._pole_catalog = catalog
-    return catalog.copy()
+    return catalog
 
 
-def compute_bilaplacian_poles(
-    catalog: PoleCatalog, cs: Optional[CrossSection] = None
-) -> PoleCatalog:
+def compute_bilaplacian_poles(cs: CrossSection) -> PoleCatalog:
     """Pole catalog of the inverted fourth-order symbol P_j(z+2) P_j(z).
 
     Per mode the candidate locations are q_j^{+/-} and q_j^{+/-} - 2 with
-    their multiplicities; coincident locations are merged (exact equality on
-    the rational channel, tolerance MERGE_TOL otherwise) and flagged.
-    Everything needed is in the catalog; the cross-section, when given, is
-    only checked to match the catalog's retained modes.
+    their multiplicities, read from compute_poles(cs); coincident locations
+    are merged (exact equality on the rational channel, tolerance MERGE_TOL
+    otherwise) and flagged.
     """
-    if catalog.source != "laplacian":
-        raise ValueError("expected the second-order catalog as input")
-    modes = sorted({e.mode for e in catalog})
-    if cs is not None and len(modes) != cs.n_modes:
-        raise ValueError("catalog does not cover the retained modes of the cross-section")
+    catalog = compute_poles(cs)
     entries = []
-    for j in modes:
+    for j in range(cs.n_modes):
         raw = []  # (float, Fraction|None, origin) with multiplicity from order
         for e in catalog.for_mode(j):
             for _ in range(e.order):
@@ -253,7 +236,7 @@ def compute_bilaplacian_poles(
         for g in groups:
             origin = g["origins"].pop() if len(g["origins"]) == 1 else "merged"
             entries.append(PoleEntry(g["loc"], g["count"], j, origin, g["exact"]))
-    return PoleCatalog(n=catalog.n, source="bilaplacian", entries=entries)
+    return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
 
 
 # -- symbol action on mode vectors ----------------------------------------
@@ -272,23 +255,16 @@ def apply_symbol(z: complex, coeffs: Sequence[complex], cs: CrossSection) -> np.
     return _symbol_values(z, cs) * coeffs
 
 
-def invert_symbol(
-    z: complex,
-    coeffs: Sequence[complex],
-    cs: CrossSection,
-    catalog: Optional[PoleCatalog] = None,
-) -> np.ndarray:
+def invert_symbol(z: complex, coeffs: Sequence[complex], cs: CrossSection) -> np.ndarray:
     """Divide a per-mode coefficient vector by P_j(z).
 
-    Refuses to evaluate within MERGE_TOL of a catalog pole (PoleProximityError);
-    the guard uses the second-order catalog of `cs` when none is supplied.
+    Refuses to evaluate within MERGE_TOL of a pole of the second-order
+    catalog of `cs` (PoleProximityError).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[0] != cs.n_modes:
         raise ValueError("coefficient vector length does not match retained modes")
-    if catalog is None:
-        catalog = compute_poles(cs)
-    dist = catalog.min_distance(z)
+    dist = compute_poles(cs).min_distance(z)
     if not dist > MERGE_TOL:
         raise PoleProximityError(
             f"z = {z} is within {dist:.3e} of a symbol pole (tolerance {MERGE_TOL:g})"

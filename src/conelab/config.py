@@ -10,6 +10,7 @@ from typing import Optional
 
 from .cross_section import make_circle
 from .extensions import admissible_window, build_extension, default_weight
+from .mellin import ConeGrid
 
 EQUATIONS = ("cahn-hilliard", "allen-cahn")
 
@@ -154,7 +155,12 @@ class Config(SimpleNamespace):
         return make_circle(self.circumference, max_mode=self.j_max)
 
     def extension(self):
-        """(cross-section, extension spec); gamma = None takes the window's midpoint."""
+        """The extension spec; gamma = None takes the window's midpoint."""
         cs = self.cross_section()
         gamma = self.gamma if self.gamma is not None else default_weight(cs)
-        return cs, build_extension(cs, gamma, self.p)
+        return build_extension(cs, gamma, self.p)
+
+    def context(self):
+        """(spec, grid) of a run: the extension and the radial grid on spec.cs."""
+        spec = self.extension()
+        return spec, ConeGrid(spec.cs, self.t_max, self.n_radial, j_max=self.j_max)

@@ -37,8 +37,9 @@ __all__ = [
 class CrossSection:
     """Spectral description of the cone's cross section.
 
-    A cross section is not changed after it is built:
-    cone_symbol.compute_poles stores its pole catalog on it.
+    A cross section is not changed after it is built: all of its pole
+    data derives from its spectrum, and cone_symbol.compute_poles stores
+    the one pole catalog that every caller shares on it.
 
     Attributes
     ----------
@@ -148,14 +149,14 @@ class CrossSection:
 # -- constructors --------------------------------------------------------
 
 
-def make_circle(circumference: float, max_mode: int = 32, n_quad: Optional[int] = None) -> CrossSection:
+def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
     """Flat circle of given circumference, Fourier modes up to `max_mode`.
 
     Eigenvalues are lam_j = -(2 pi j / L)^2 with multiplicity 2 for j >= 1.
     When (2 pi / L)^2 is an integer to within 1e-12 (unit circle L = 2 pi,
     half circle L = pi, ...) the spectrum is also stored exactly.
-    The quadrature is the uniform rectangle rule, exact for trigonometric
-    polynomials of frequency below the node count.
+    The quadrature is the uniform rectangle rule on 4 max_mode + 8 nodes,
+    exact for trigonometric polynomials of frequency below the node count.
     """
     if circumference <= 0:
         raise ValueError("circumference must be positive")
@@ -170,9 +171,8 @@ def make_circle(circumference: float, max_mode: int = 32, n_quad: Optional[int] 
         b = Fraction(int(round(base)))
         exact = [-b * j * j for j in range(max_mode + 1)]
 
-    if n_quad is None:
-        # products of two retained eigenfunctions have frequency <= 2 max_mode
-        n_quad = 4 * max_mode + 8
+    # products of two retained eigenfunctions have frequency <= 2 max_mode
+    n_quad = 4 * max_mode + 8
     theta = np.arange(n_quad) * (L / n_quad)
     weights = np.full(n_quad, L / n_quad)
 

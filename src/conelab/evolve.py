@@ -440,26 +440,30 @@ def energy_functional(u: FieldState,
     return float(_trapezoid(radial, grid.t))
 
 
+_TIP_TOL = 1e-8     # compatibility_check's bound on the scaled residual
+
+
 def compatibility_check(u: FieldState, spec: ExtensionSpec,
-                        tol: float = 1e-8, order: int = 4) -> float:
+                        tip_ratio: np.ndarray) -> float:
     """Tip-compatibility proxy: finite order-2 norm plus Robin residual.
 
     The residual compares the tip node against its neighbor scaled by
-    the admissible decay ratio for the requested domain order (4 for
-    the conserved flow, 2 for the relaxational one).  Raises on
-    violation, returns the residual otherwise.
+    tip_ratio, the admissible decay ratio per channel: Stepper.tip_ratio
+    of the run's flow, which is that of the order-4 domain for the
+    conserved flow and of the order-2 domain for the relaxational one.
+    The outer node is compared against its neighbor too.  Raises
+    ValueError when the larger residual, relative to max(1, max |u|),
+    is above 1e-8; returns it otherwise.
     """
-    grid = u.grid
     gamma = u.gamma if u.gamma is not None else spec.gamma
     norm = mellin_norm(u, 2, gamma, u.p)
     if not np.isfinite(norm):
         raise ValueError("initial data has no finite order-2 norm")
-    ratio = RadialOperator(grid, spec).tip_ratio(order)[grid.channel_modes]
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
-    res = float(np.max(np.abs(u.coeffs[-1, :] - ratio * u.coeffs[-2, :]))) / scale
+    res = float(np.max(np.abs(u.coeffs[-1, :] - tip_ratio * u.coeffs[-2, :]))) / scale
     outer = float(np.max(np.abs(u.coeffs[0, :] - u.coeffs[1, :]))) / scale
     res = max(res, outer)
-    if res > tol:
+    if res > _TIP_TOL:
         raise ValueError(f"initial data violates the tip pattern ({res:.3e})")
     return res
 
@@ -488,12 +492,6 @@ def initial_state(config: RunConfig, grid: ConeGrid,
         if j <= config.ic_modes:
             u.coeffs[:, c] = config.ic_amplitude * rng.uniform(-1.0, 1.0) * env
     return u
-
-
-def _setup(config: RunConfig):
-    cs, spec = config.extension()
-    grid = ConeGrid(cs, config.t_max, config.n_radial, j_max=config.j_max)
-    return cs, spec, grid
 
 
 def _diagnostics_row(u: FieldState, step: int,
@@ -537,21 +535,17 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
     final states; diagnostics (mass, energy, sup norm, order-0 and
     order-2 weighted norms) are recorded every step unless diagnostics
     is False, in which case the row list is empty.  context, when
-    given, is a prebuilt (spec, grid) pair; an initial state must live
-    on that grid.
+    given, is a prebuilt (spec, grid) pair, config.context() otherwise;
+    an initial state must live on that grid.
     """
-    if context is not None:
-        spec, grid = context
-    else:
-        _, spec, grid = _setup(config)
+    spec, grid = context or config.context()
     u = initial if initial is not None else initial_state(config, grid, spec)
     if u.grid is not grid:
         raise ValueError("initial state must live on the run grid; "
                          "pass context=(spec, grid) along with it")
-    order = 4 if config.equation == "cahn-hilliard" else 2
-    compatibility_check(u, spec, order=order)
     stepper = Stepper(spec, grid, config.dt, config.equation,
                       config.picard_iters, config.picard_tol)
+    compatibility_check(u, spec, stepper.tip_ratio)
     f = double_well if config.equation == "allen-cahn" else None
     snapshots = [u.copy()]
     rows = []

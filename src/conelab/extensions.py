@@ -195,8 +195,6 @@ class ExtensionSpec:
     p: float
     epsilon_bar: float
     window: tuple
-    catalog: PoleCatalog
-    catalog4: Optional[PoleCatalog] = None
     i_gamma: list = field(default_factory=list)
     selected: list = field(default_factory=list)
     laplacian_addons: list = field(default_factory=list)
@@ -243,32 +241,28 @@ class ExtensionSpec:
 # -- second-order selection --------------------------------------------------
 
 
-def _epsilon_bar(cs: CrossSection, catalog: PoleCatalog) -> float:
+def _q_minus(cs: CrossSection, j: int) -> float:
+    return min(e.location for e in compute_poles(cs).for_mode(j))
+
+
+def _epsilon_bar(cs: CrossSection) -> float:
     if cs.n_modes < 2:
         raise ValueError("need at least one nonzero cross-section mode to size the weight window")
-    q_minus = min(e.location for e in catalog.for_mode(1))
-    return -q_minus
+    return -_q_minus(cs, 1)
 
 
-def admissible_window(cs: CrossSection, catalog: Optional[PoleCatalog] = None) -> tuple:
+def admissible_window(cs: CrossSection) -> tuple:
     """Weight window of the cross-section's own spectrum."""
-    if catalog is None:
-        catalog = compute_poles(cs)
-    return weight_window(cs.n, _epsilon_bar(cs, catalog))
+    return weight_window(cs.n, _epsilon_bar(cs))
 
 
-def default_weight(cs: CrossSection, catalog: Optional[PoleCatalog] = None) -> float:
+def default_weight(cs: CrossSection) -> float:
     """Midpoint of the admissible weight window; the run-time default."""
-    lo, hi = admissible_window(cs, catalog)
+    lo, hi = admissible_window(cs)
     return 0.5 * (lo + hi)
 
 
-def select_extension(
-    gamma: float,
-    p: float,
-    cs: CrossSection,
-    catalog: Optional[PoleCatalog] = None,
-) -> ExtensionSpec:
+def select_extension(gamma: float, p: float, cs: CrossSection) -> ExtensionSpec:
     """Fix the extension of the Laplacian for weight gamma.
 
     The selection follows the duality rules: at a pair of dual poles inside
@@ -280,10 +274,9 @@ def select_extension(
     """
     if p < 1:
         raise ValueError("integrability exponent p must be >= 1")
-    if catalog is None:
-        catalog = compute_poles(cs)
+    catalog = compute_poles(cs)
     i_gamma = interval_I(gamma, cs.n, catalog)          # collision check first
-    eb = _epsilon_bar(cs, catalog)
+    eb = _epsilon_bar(cs)
     window = weight_window(cs.n, eb)
     if not (window[0] < gamma < window[1]):
         raise ValueError(
@@ -306,8 +299,7 @@ def select_extension(
                 # order-2 pole at 0 (n = 1 only): self-dual log-free half
                 choice = "E_00"
             else:
-                roots = catalog.for_mode(e.mode)
-                q_minus = min(r.location for r in roots)
+                q_minus = _q_minus(cs, e.mode)
                 choice = "full" if abs(e.location - q_minus) <= MERGE_TOL else "zero"
         elif gamma >= 0:
             rule, choice = "ii", "full"
@@ -327,7 +319,6 @@ def select_extension(
         p=float(p),
         epsilon_bar=eb,
         window=window,
-        catalog=catalog,
         i_gamma=i_gamma,
         selected=selected,
         laplacian_addons=addons,
@@ -485,8 +476,6 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
     what may not happen is an addon appearing outside J.
     """
     cs = spec.cs
-    if spec.catalog4 is None:
-        spec.catalog4 = compute_bilaplacian_poles(spec.catalog, cs)
     n = cs.n
     j_lo = 0.5 * (n + 1) - spec.gamma - 4.0
     j_hi = 0.5 * (n + 1) - spec.gamma - 2.0
@@ -506,7 +495,7 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
 
     direct = []
     survivors_outside = []
-    for entry in spec.catalog4:
+    for entry in compute_bilaplacian_poles(cs):
         if not (strip_lo <= entry.location < strip_hi):
             continue
         funcs = _surviving_functions(spec, entry)
@@ -570,7 +559,7 @@ def inner_boundary_conditions(spec: ExtensionSpec) -> list:
     tau2 = spec.minimal_threshold(2)
     pairs = []
     for j in range(cs.n_modes):
-        q_minus = min(e.location for e in spec.catalog.for_mode(j))
+        q_minus = _q_minus(cs, j)
         a4 = spec.addon_exponents(j, 4)
         a_j = a4[0] if a4 else _ladder_exponent(q_minus, tau4)
         a2 = spec.addon_exponents(j, 2)

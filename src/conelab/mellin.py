@@ -74,8 +74,8 @@ class ConeGrid:
     """
 
     cs: CrossSection
-    t_max: float = 12.0
-    n_radial: int = 600
+    t_max: float
+    n_radial: int
     j_max: Optional[int] = None
     t: np.ndarray = field(init=False, repr=False)
     x: np.ndarray = field(init=False, repr=False)
@@ -254,7 +254,7 @@ def _p_power_radial(grid: ConeGrid, w: np.ndarray, p: float,
 
 
 def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
-                p: float = 2.0, grid: Optional[ConeGrid] = None) -> float:
+                p: float = 2.0) -> float:
     """Discrete weighted Sobolev norm of order k and weight gamma.
 
     Parameters
@@ -267,8 +267,6 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
     p : float
         Integrability index; p = 2 integrates in coefficient space, any
         other p >= 1 goes through cross-section quadrature.
-    grid : ConeGrid, optional
-        Defaults to the state's grid.
 
     Returns
     -------
@@ -278,11 +276,11 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
         against dt dy and the outer term the plain volume integral of the
         same stack applied to (1 - omega) u.
     """
-    return mellin_norms(u, k, gamma, p, grid)[1]
+    return mellin_norms(u, k, gamma, p)[1]
 
 
 def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
-                 p: float = 2.0, grid: Optional[ConeGrid] = None) -> Tuple[float, float]:
+                 p: float = 2.0) -> Tuple[float, float]:
     """The order-0 and order-k norms of mellin_norm, from one pass.
 
     The stack of every order starts with the order-0 term, so the
@@ -292,7 +290,7 @@ def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
     bits; other p keep full-height products, since a BLAS product over a
     few rows can round differently from the same rows of a taller one.
     """
-    grid = grid or u.grid
+    grid = u.grid
     if gamma is None:
         gamma = u.gamma
     if gamma is None:

@@ -8,8 +8,8 @@ point skew, which gives exact eigendecomposition oracles while keeping
 the operator's scale structure.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .assembly import RadialOperator
 from .config import DEFAULTS
 from .extensions import ExtensionSpec
 from .mellin import ConeGrid
+
+
+# the t grid of verify_square_identity and bip_estimate
+_T_GRID = np.linspace(-2.0, 2.0, 17)
 
 
 class SpectrumInSectorError(ValueError):
@@ -47,15 +51,16 @@ def matrix_power_spd(A: np.ndarray, z: complex) -> np.ndarray:
     return (Q * np.exp(z * np.log(w))) @ Q.T
 
 
-def imaginary_power_integral(A: np.ndarray, z: complex,
-                             h: float = 0.25, margin: float = 40.0) -> np.ndarray:
+def imaginary_power_integral(A: np.ndarray, z: complex) -> np.ndarray:
     """A^(-z) for 0 < Re z < 1 by quadrature of the resolvent integral.
 
     The integral (sin pi z / pi) int_0^inf u^(-z) (A+u)^(-1) du is taken
-    in the substitution u = e^s with a trapezoid rule of spacing h; the
-    window extends margin/(Re z) and margin/(1 - Re z) beyond the
-    spectral interval, making both truncation tails O(e^(-margin)).
+    in the substitution u = e^s with a trapezoid rule of spacing
+    h = 0.25; the window extends margin/(Re z) and margin/(1 - Re z)
+    beyond the spectral interval, margin = 40, making both truncation
+    tails O(e^(-40)).
     """
+    h, margin = 0.25, 40.0
     z = complex(z)
     x = z.real
     if not 0.0 < x < 1.0:
@@ -105,30 +110,28 @@ def sector_resolvent_bound(A: np.ndarray, theta: float, samples: int = 200) -> f
     return float(best)
 
 
-def verify_square_identity(A: np.ndarray, t_grid: Optional[Sequence[float]] = None) -> float:
-    """max_t ||(A^2)^(it) - A^(2it)|| with independent eigendecompositions."""
+def verify_square_identity(A: np.ndarray) -> float:
+    """max_t ||(A^2)^(it) - A^(2it)|| with independent eigendecompositions.
+
+    t runs over the 17 equally spaced points of [-2, 2].
+    """
     A = _as_square(A)
-    if t_grid is None:
-        t_grid = np.linspace(-2.0, 2.0, 17)
     B = A @ A
     wB, QB = _spd_eigh(B)
     wA, QA = _spd_eigh(A)
     dev = 0.0
-    for t in t_grid:
+    for t in _T_GRID:
         left = (QB * np.exp(1j * t * np.log(wB))) @ QB.T
         right = (QA * np.exp(2j * t * np.log(wA))) @ QA.T
         dev = max(dev, float(np.linalg.norm(left - right, 2)))
     return dev
 
 
-def bip_estimate(A: np.ndarray, phi: float,
-                 t_grid: Optional[Sequence[float]] = None) -> float:
-    """M = max_t ||A^(it)|| e^(-phi |t|) over the t grid."""
-    if t_grid is None:
-        t_grid = np.linspace(-2.0, 2.0, 17)
+def bip_estimate(A: np.ndarray, phi: float) -> float:
+    """M = max_t ||A^(it)|| e^(-phi |t|), t over the 17 equally spaced points of [-2, 2]."""
     w, Q = _spd_eigh(A)
     best = 0.0
-    for t in t_grid:
+    for t in _T_GRID:
         op = (Q * np.exp(1j * t * np.log(w))) @ Q.T
         best = max(best, float(np.linalg.norm(op, 2)) * np.exp(-phi * abs(t)))
     return best
@@ -229,32 +232,22 @@ class LabReport:
     tolerances: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "K_estimate": self.K_estimate,
-            "phi": self.phi,
-            "M_estimate": self.M_estimate,
-            "square_identity_dev": self.square_identity_dev,
-            "integral_vs_eigh_dev": self.integral_vs_eigh_dev,
-            "beta": self.beta,
-            "perturbation": self.perturbation,
-            "samples": self.samples,
-            "tolerances": self.tolerances,
-        }
+        """The fields by name, in field order."""
+        return asdict(self)
 
 
 def lab_report(grid: ConeGrid, spec: ExtensionSpec, mode: int = DEFAULTS["lab_mode"],
                shift: float = DEFAULTS["lab_shift"], theta: float = DEFAULTS["lab_theta"],
                contour_theta: float = DEFAULTS["lab_contour_theta"],
                beta: float = DEFAULTS["lab_beta"], phi: float = DEFAULTS["lab_phi"],
-               samples: int = DEFAULTS["lab_samples"], mus: Iterable[float] = DEFAULTS["lab_mu"],
-               t_grid: Optional[Sequence[float]] = None) -> LabReport:
+               samples: int = DEFAULTS["lab_samples"],
+               mus: Iterable[float] = DEFAULTS["lab_mu"]) -> LabReport:
     """Run the full sweep on the shifted symmetrized mode operator."""
     S = symmetrized_laplacian(grid, spec, mode)
     A = shift * np.eye(S.shape[0]) + S
     K = sector_resolvent_bound(A, theta, samples)
-    M = bip_estimate(A, phi, t_grid)
-    sq = verify_square_identity(A, t_grid)
+    M = bip_estimate(A, phi)
+    sq = verify_square_identity(A)
     direct = matrix_power_spd(A, -0.25)
     integral = imaginary_power_integral(A, 0.25)
     dev = float(np.linalg.norm(direct - integral, 2) / np.linalg.norm(direct, 2))

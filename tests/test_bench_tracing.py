@@ -1,9 +1,11 @@
-"""The benchmark's tracer must still find conelab's layer boundaries.
+"""The benchmark's tracer and workloads must still run against conelab.
 
 bench/tracing.instrument patches names by attribute and skips a name it
 does not find, so a renamed boundary would read as an absent span rather
 than fail.  A small traced conserved run on either transform path must
-fire every span below.
+fire every span below.  bench/workloads builds its run contexts from
+conelab's public constructors; each workload's own calls run here on
+its small config.
 """
 
 import importlib.util
@@ -50,3 +52,16 @@ def test_traced_fft_run_fires_every_layer_span():
     # the FFT transforms build their synthesis matrix only when the
     # tracer's byte counter reads it
     _assert_traced_run_fires_every_layer_span(64)
+
+
+def test_bench_workloads_run_their_own_calls(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)          # workloads imports checks
+    workloads = _bench_module("workloads")
+    tracer = _bench_module("tracing").NullTracer()
+    for name in workloads.NAMES:
+        wl = workloads.make(name, str(tmp_path), small=True)
+        context = wl.setup(tracer)
+        assert workloads.fixed_point_errors(context, wl.equation) == []
+        for op in wl.ops:
+            _, result = wl.execute(op, tracer)
+            assert not wl.failed(result), (name, op)

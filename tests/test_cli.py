@@ -5,10 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conelab import (RunConfig, Stepper, build_extension, default_weight,
-                     make_circle)
+from conelab import RunConfig
 from conelab.cli import CliConfig, ConfigError, dispatch, main, parse_config
-from conelab.mellin import ConeGrid
 
 FAST = {"t_max": 3.0, "j_max": 8, "T": 0.02}
 
@@ -141,12 +139,6 @@ def test_schema_serves_the_benchmark_calls():
     assert (run_cfg.circumference, run_cfg.gamma, run_cfg.p) == (2.0 * np.pi, None, 2.0)
     assert (run_cfg.n_radial, run_cfg.n_steps) == (1200, 10)
     assert (run_cfg.picard_iters, run_cfg.picard_tol) == (1, 1e-10)
-    cs = make_circle(run_cfg.circumference, max_mode=run_cfg.j_max)
-    spec = build_extension(cs, default_weight(cs), run_cfg.p)
-    grid = ConeGrid(cs, run_cfg.t_max, run_cfg.n_radial, j_max=run_cfg.j_max)
-    stepper = Stepper(spec, grid, run_cfg.dt, run_cfg.equation,
-                      run_cfg.picard_iters, run_cfg.picard_tol)
-    assert (stepper.picard_iters, stepper.picard_tol) == (1, 1e-10)
 
 
 def test_parse_config_reads_overrides(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import platform
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from conelab import (ConeGrid, ConfigError, FieldState, PicardDivergenceError,
-                     RunConfig, Stepper, TransformPlan, build_extension,
-                     compatibility_check, constant_state, default_weight,
-                     double_well, energy_functional, evolve, initial_state,
-                     make_circle, mass_functional, run)
+                     RunConfig, Stepper, TransformPlan, assembly,
+                     build_extension, compatibility_check, constant_state,
+                     default_weight, double_well, energy_functional, evolve,
+                     initial_state, make_circle, mass_functional,
+                     parse_config, run)
 from conelab.mellin import _trapezoid
 
 CFG = dict(j_max=8, t_max=3.0, delta_t=0.02)
@@ -143,11 +145,12 @@ def test_mass_and_energy_oracles(grid8):
 
 def test_compatibility_check(grid8, spec8):
     u = initial_state(RunConfig(**CFG), grid8, spec8)
-    assert compatibility_check(u, spec8) < 1e-8
+    ratio = Stepper(spec8, grid8, 1e-3).tip_ratio
+    assert compatibility_check(u, spec8, ratio) < 1e-8
     bad = u.copy()
     bad.coeffs[-1, grid8.channel_index(3, 0)] += 1.0
     with pytest.raises(ValueError):
-        compatibility_check(bad, spec8)
+        compatibility_check(bad, spec8, ratio)
 
 
 def test_conserved_run_mass_energy(cs8):
@@ -461,3 +464,36 @@ def test_wellposedness_smoke(grid8, spec8):
 
     assert end_gap(0.0) == 0.0
     assert end_gap(1e-4) / 1e-4 == pytest.approx(end_gap(1e-5) / 1e-5, rel=0.02)
+
+
+def test_a_run_builds_one_stencil(monkeypatch):
+    # the compatibility check reads the tip ratios of the run's Stepper
+    built = []
+    init = assembly.RadialOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.RadialOperator, "__init__", counted)
+    run(RunConfig(j_max=8, t_max=3.0, T=0.005))
+    assert len(built) == 1
+
+
+def _run_bits(result):
+    snaps, rows = result
+    return ([(s.time, s.coeffs.tobytes()) for s in snaps],
+            [np.array(list(row.values()), dtype=float).tobytes() for row in rows])
+
+
+@pytest.mark.parametrize("source", ["run-config", "parsed-with-gamma"])
+def test_run_builds_the_context_of_config_context(source, tmp_path):
+    if source == "run-config":
+        cfg = RunConfig(j_max=8, t_max=3.0, T=0.005)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"j_max": 8, "t_max": 3.0, "T": 0.005,
+                                    "gamma": -0.25}))
+        cfg = parse_config(str(path)).to_run_config()
+        assert cfg.gamma == -0.25
+    assert _run_bits(run(cfg)) == _run_bits(run(cfg, context=cfg.context()))

@@ -145,11 +145,13 @@ def test_reconciliation_guard_is_wired(cs8, monkeypatch):
 
 @pytest.mark.parametrize("j_max", [8, 128])
 def test_extension_is_the_same_on_a_shared_cross_section(j_max):
-    # default_weight and build_extension share the catalog stored on cs;
-    # a caller that changes its own copy of it changes neither
+    # default_weight and build_extension share the one catalog stored on
+    # cs, which holds only tuples, so no use of it changes the next
     fresh = make_circle(2.0 * np.pi, max_mode=j_max)
     want = build_extension(fresh, default_weight(fresh), 2.0).to_json_dict()
     shared = make_circle(2.0 * np.pi, max_mode=j_max)
+    catalog = compute_poles(shared)
     for _ in range(2):
         assert build_extension(shared, default_weight(shared), 2.0).to_json_dict() == want
-        compute_poles(shared).entries.clear()
+        assert compute_poles(shared) is catalog
+        assert isinstance(catalog.entries, tuple) and isinstance(catalog.for_mode(1), tuple)
