@@ -34,6 +34,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .cross_section import circle_basis
 from .extensions import ExtensionSpec
 from .mellin import ConeGrid, FieldState
 
@@ -65,7 +66,7 @@ class RadialOperator:
         N = grid.n_radial
         self.grid = grid
         self.tip = np.exp(-np.array(spec.inner_bc[:nm], dtype=float) * h)
-        lams = np.array([float(grid.cs.eigenvalue(j)) for j in range(nm)])
+        lams = np.array(grid.cs.eigenvalues[:nm], dtype=float)
         e2t = np.exp(2.0 * grid.t)[1:N]
         vals = np.empty((nm, N + 1, 3))
         vals[:, 1:N, 0] = e2t * (1.0 / h ** 2 + 0.5 * (n - 1) / h)
@@ -199,21 +200,18 @@ class TransformPlan:
             self.m = self.n_phys or max(pad, 8)
         L = float(cs.circumference)
         self.theta = L * np.arange(self.m) / self.m
-        self._cs, self._channels = cs, grid.channels
-        self._S = None if use_fft else self._synthesis_matrix()
+        self._L, self._j_max = L, jm
+        self._S = None             # built by the first read of S
         # d_theta sends cos(w theta) to -w sin(w theta) and sin to
         # w cos: output channel c is weight[c] times input channel
-        # partner[c]; mode 0 has weight zero
+        # partner[c].  Channels 1, 3, 5, ... are the cosines and 2, 4,
+        # 6, ... the sines of modes 1, 2, 3, ...; mode 0 has weight zero
         nc = grid.n_channels
         self._partner = np.arange(nc)
-        self._weight = np.zeros(nc)
-        for c, (j, k) in enumerate(grid.channels):
-            if j == 0:
-                continue
-            w = 2.0 * np.pi * j / L
-            partner = grid.channel_index(j, 1 - k)
-            self._partner[partner] = c
-            self._weight[partner] = -w if k == 0 else w
+        self._partner[1::2] += 1
+        self._partner[2::2] -= 1
+        self._weight = 2.0 * np.pi * grid.channel_modes / L
+        self._weight[2::2] *= -1.0
         if use_fft:
             # channel c is fftpack's packed entry c: y0 for mode 0, then
             # Re y_j and Im y_j for cos and sin, Im carrying the opposite sign
@@ -226,15 +224,11 @@ class TransformPlan:
             self._synth_scale = self._analysis_scale = None
             self._analysis = (L / self.m) * self.S
 
-    def _synthesis_matrix(self) -> np.ndarray:
-        return np.column_stack([self._cs.evaluate(j, k, self.theta)
-                                for j, k in self._channels])
-
     @property
     def S(self) -> np.ndarray:
         """The synthesis matrix; the FFT path builds it at the first read."""
         if self._S is None:
-            self._S = self._synthesis_matrix()
+            self._S = circle_basis(self._L, self._j_max, self.theta)
         return self._S
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ class CliConfig(Config):
             errors.append("/lab_mode: must not exceed j_max")
         return errors
 
-    def cross_section(self):
+    def make_cross_section(self):
         if self.geometry == "circle":
             return make_circle(self.L, max_mode=self.j_max)
         return make_sphere(self.n, max_degree=self.j_max)

@@ -16,7 +16,11 @@ operator iff -a is a pole of 1/P_j.
 All bookkeeping is carried out in exact rational arithmetic whenever the
 cross section supplies an exact spectrum whose root discriminants are perfect
 squares (unit circle, round spheres); otherwise locations are floats and
-coincidence is decided with an absolute tolerance of 1e-9.
+coincidence is decided with an absolute tolerance of 1e-9.  The exact
+arithmetic runs on integer numerators and denominators: a root is found
+with an integer square root, coincident roots are grouped by the root's
+reduced (numerator, denominator) pair, and each stored location becomes a
+Fraction once, in PoleEntry.exact.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
     "PoleProximityError",
     "compute_poles",
     "compute_bilaplacian_poles",
+    "bilaplacian_poles_in",
     "apply_symbol",
     "invert_symbol",
     "symbolic_laplacian",
@@ -51,17 +57,6 @@ Number = Union[int, float, Fraction]
 
 class PoleProximityError(ValueError):
     """Raised when a symbol is inverted too close to a catalog pole."""
-
-
-def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Square root of a nonnegative rational, or None when irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 @dataclass(frozen=True)
@@ -121,17 +116,20 @@ class PoleCatalog:
     entries: tuple = ()
 
     def __post_init__(self):
-        # sorted by location descending; (location, mode) pairs unique
-        self.entries = tuple(sorted(self.entries, key=lambda e: (-e.location, e.mode)))
-        seen = set()
-        by_mode = {}
+        # sorted by location descending, then mode: two stable sorts
+        by_mode = sorted(self.entries, key=attrgetter("mode"))
+        self.entries = tuple(sorted(by_mode, key=attrgetter("location"), reverse=True))
+        index = {}
         for e in self.entries:
-            key = (round(e.location / MERGE_TOL), e.mode)
-            if key in seen:
+            es = index.setdefault(e.mode, [])
+            # (location, mode) pairs unique: round(location / MERGE_TOL)
+            # differs from the mode's previous entry, which is the next
+            # larger location; it can only be equal within 2 MERGE_TOL
+            if (es and es[-1].location - e.location <= 2.0 * MERGE_TOL
+                    and round(es[-1].location / MERGE_TOL) == round(e.location / MERGE_TOL)):
                 raise ValueError("duplicate (location, mode) pair in pole catalog")
-            seen.add(key)
-            by_mode.setdefault(e.mode, []).append(e)
-        self._by_mode = {j: tuple(es) for j, es in by_mode.items()}
+            es.append(e)
+        self._by_mode = {j: tuple(es) for j, es in index.items()}
 
     def __iter__(self):
         return iter(self.entries)
@@ -155,23 +153,35 @@ class PoleCatalog:
         return [e.to_json_dict() for e in self.entries]
 
 
-def _mode_roots(cs: CrossSection, j: int):
-    """Roots (q_plus, q_minus) of P_j, each as (float, Fraction-or-None)."""
+def _mode_roots(cs: CrossSection, j: int) -> list:
+    """Roots of P_j as (location, order, exact) triples, q_j^+ first.
+
+    A double root is one triple of order 2.  exact is a Fraction or None.
+    With lam_j = a/b the discriminant ((n-1)/2)^2 - lam_j is N/4b,
+    N = (n-1)^2 b - 4a, whose square root is rational iff 4bN is a
+    perfect square s^2; the roots are then (2(n-1)b +/- s)/4b, and the
+    two coincide iff s = 0.  Otherwise they are floats, coincident within
+    MERGE_TOL.
+    """
     n = cs.n
     half = 0.5 * (n - 1)
-    lam = cs.eigenvalues[j]
-    disc = half * half - lam
-    root = math.sqrt(disc)
-    qp_f, qm_f = half + root, half - root
-    qp_e = qm_e = None
+    root = math.sqrt(half * half - cs.eigenvalues[j])
     if cs.exact_eigenvalues is not None:
-        half_e = Fraction(n - 1, 2)
-        disc_e = half_e * half_e - cs.exact_eigenvalues[j]
-        root_e = _exact_sqrt(disc_e)
-        if root_e is not None:
-            qp_e, qm_e = half_e + root_e, half_e - root_e
-            qp_f, qm_f = float(qp_e), float(qm_e)
-    return (qp_f, qp_e), (qm_f, qm_e)
+        lam = cs.exact_eigenvalues[j]
+        a, b = lam.numerator, lam.denominator
+        square = 4 * b * ((n - 1) ** 2 * b - 4 * a)
+        s = math.isqrt(square) if square >= 0 else -1
+        if s * s == square:
+            mid, den = 2 * (n - 1) * b, 4 * b
+            if s == 0:
+                return [(mid / den, 2, Fraction(mid, den))]
+            # int / int is the correctly rounded float, as float(Fraction) is
+            return [((mid + s) / den, 1, Fraction(mid + s, den)),
+                    ((mid - s) / den, 1, Fraction(mid - s, den))]
+    qp, qm = half + root, half - root
+    if abs(qp - qm) <= MERGE_TOL:
+        return [(0.5 * (qp + qm), 2, None)]
+    return [(qp, 1, None), (qm, 1, None)]
 
 
 def compute_poles(cs: CrossSection) -> PoleCatalog:
@@ -184,58 +194,80 @@ def compute_poles(cs: CrossSection) -> PoleCatalog:
     """
     catalog = getattr(cs, "_pole_catalog", None)
     if catalog is None:
-        entries = []
-        for j in range(cs.n_modes):
-            (qp_f, qp_e), (qm_f, qm_e) = _mode_roots(cs, j)
-            if qp_e is not None and qp_e == qm_e:
-                entries.append(PoleEntry(qp_f, 2, j, "direct", qp_e))
-            elif qp_e is None and abs(qp_f - qm_f) <= MERGE_TOL:
-                entries.append(PoleEntry(0.5 * (qp_f + qm_f), 2, j, "direct", None))
-            else:
-                entries.append(PoleEntry(qp_f, 1, j, "direct", qp_e))
-                entries.append(PoleEntry(qm_f, 1, j, "direct", qm_e))
+        entries = [PoleEntry(loc, order, j, "direct", exact)
+                   for j in range(cs.n_modes) for loc, order, exact in _mode_roots(cs, j)]
         catalog = PoleCatalog(n=cs.n, source="laplacian", entries=entries)
         cs._pole_catalog = catalog
     return catalog
 
 
+# a group's origin from the families of its candidates: 1 direct, 2 shifted
+_ORIGINS = {1: "direct", 2: "shifted-by-2", 3: "merged"}
+
+
+def _bilaplacian_entries(catalog: PoleCatalog, j: int) -> list:
+    """Mode j's entries of the fourth-order catalog, from the second-order one.
+
+    The candidate locations are q_j^{+/-} and q_j^{+/-} - 2 with the
+    multiplicities of the mode's second-order entries; coincident
+    locations are merged and flagged.  An exact location is grouped by its
+    reduced (numerator, denominator) pair, p/d - 2 being (p - 2d, d); a
+    float one joins the first group within MERGE_TOL.  A group keeps the
+    location of its first candidate.  A group of one direct candidate is
+    that candidate's second-order entry, which both catalogs share; a
+    Fraction is built only for a group that a shifted candidate opens.
+    """
+    groups = {}  # key -> [location, count, families, first entry, its family]
+    for e in catalog.for_mode(j):
+        if e.exact is None:
+            keys = (None, None)
+        else:
+            p, d = e.exact.numerator, e.exact.denominator
+            keys = ((p, d), (p - 2 * d, d))
+        for key, loc, family in zip(keys, (e.location, e.location - 2.0), (1, 2)):
+            if key is None:         # float: the first group within MERGE_TOL, or a new one
+                key = next((k for k, g in groups.items()
+                            if abs(loc - g[0]) <= MERGE_TOL), len(groups))
+            g = groups.get(key)
+            if g is None:
+                groups[key] = [loc, e.order, family, e, family]
+            else:
+                g[1] += e.order
+                g[2] |= family
+    entries = []
+    for key, (loc, count, families, e, first) in groups.items():
+        if families == 1:
+            entries.append(e)
+            continue
+        exact = e.exact
+        if first == 2 and exact is not None:
+            exact = Fraction(*key)
+        entries.append(PoleEntry(loc, count, j, _ORIGINS[families], exact))
+    return entries
+
+
 def compute_bilaplacian_poles(cs: CrossSection) -> PoleCatalog:
     """Pole catalog of the inverted fourth-order symbol P_j(z+2) P_j(z).
 
-    Per mode the candidate locations are q_j^{+/-} and q_j^{+/-} - 2 with
-    their multiplicities, read from compute_poles(cs); coincident locations
-    are merged (exact equality on the rational channel, tolerance MERGE_TOL
-    otherwise) and flagged.
+    Per mode the poles are those of compute_poles(cs) and the same shifted
+    by -2, merged where they coincide (see _bilaplacian_entries).
     """
     catalog = compute_poles(cs)
-    entries = []
-    for j in range(cs.n_modes):
-        raw = []  # (float, Fraction|None, origin) with multiplicity from order
-        for e in catalog.for_mode(j):
-            for _ in range(e.order):
-                raw.append((e.location, e.exact, "direct"))
-                shifted = None if e.exact is None else e.exact - 2
-                raw.append((e.location - 2.0, shifted, "shifted-by-2"))
-        groups = []  # [locations, exacts, origins]
-        for loc, exact, origin in raw:
-            placed = False
-            for g in groups:
-                match = (
-                    exact is not None and g["exact"] is not None and exact == g["exact"]
-                ) or (
-                    (exact is None or g["exact"] is None)
-                    and abs(loc - g["loc"]) <= MERGE_TOL
-                )
-                if match:
-                    g["count"] += 1
-                    g["origins"].add(origin)
-                    placed = True
-                    break
-            if not placed:
-                groups.append({"loc": loc, "exact": exact, "count": 1, "origins": {origin}})
-        for g in groups:
-            origin = g["origins"].pop() if len(g["origins"]) == 1 else "merged"
-            entries.append(PoleEntry(g["loc"], g["count"], j, origin, g["exact"]))
+    entries = [e for j in range(cs.n_modes) for e in _bilaplacian_entries(catalog, j)]
+    return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
+
+
+def bilaplacian_poles_in(cs: CrossSection, lo: float, hi: float) -> PoleCatalog:
+    """The entries of compute_bilaplacian_poles(cs) with lo <= location < hi.
+
+    A fourth-order pole sits at a second-order pole q of its mode or at
+    q - 2, so only the modes with such a candidate in [lo, hi) are grouped.
+    """
+    catalog = compute_poles(cs)
+    modes = sorted({e.mode for e in catalog
+                    if lo <= e.location < hi or lo <= e.location - 2.0 < hi})
+    entries = [e for j in modes for e in _bilaplacian_entries(catalog, j)
+               if lo <= e.location < hi]
     return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
 
 

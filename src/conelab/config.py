@@ -104,9 +104,12 @@ class Config(SimpleNamespace):
 
     Keys not given take their defaults.  Raises ConfigError listing every
     violation as /name: message, sorted; the checks that tie keys
-    together run once each key passed its own.
+    together run once each key passed its own.  The cross-section is
+    built at most once per config, by the first call of cross_section(),
+    and held in a slot, which vars() and == do not see.
     """
 
+    __slots__ = ("_cross_section",)
     FIELDS: dict = {}
 
     def __init__(self, **values):
@@ -152,6 +155,14 @@ class Config(SimpleNamespace):
         return errors
 
     def cross_section(self):
+        """The run's cross-section: one object for every call on this config."""
+        try:
+            return self._cross_section
+        except AttributeError:
+            self._cross_section = self.make_cross_section()
+            return self._cross_section
+
+    def make_cross_section(self):
         return make_circle(self.circumference, max_mode=self.j_max)
 
     def extension(self):

@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "CrossSection",
     "make_circle",
+    "circle_basis",
     "make_sphere",
     "from_spectrum",
     "project",
@@ -168,8 +169,8 @@ def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
     multiplicities = [1] + [2] * max_mode
     exact = None
     if abs(base - round(base)) < 1e-12 and round(base) >= 1:
-        b = Fraction(int(round(base)))
-        exact = [-b * j * j for j in range(max_mode + 1)]
+        b = int(round(base))
+        exact = [Fraction(-b * j * j) for j in range(max_mode + 1)]
 
     # products of two retained eigenfunctions have frequency <= 2 max_mode
     n_quad = 4 * max_mode + 8
@@ -198,6 +199,26 @@ def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
         weights=weights,
         _evaluator=evaluator,
     )
+
+
+def circle_basis(circumference: float, max_mode: int, y) -> np.ndarray:
+    """Every orthonormal eigenfunction of the circle up to max_mode at the angles y.
+
+    One column per channel, in the order (0, 0), (1, 0), (1, 1), (2, 0), ...:
+    the constant 1/sqrt(L), then sqrt(2/L) cos(w_j y) and sqrt(2/L) sin(w_j y),
+    w_j = 2 pi j / L, from one cos and one sin evaluation over angles x modes.
+    Column (j, k) holds the bits of evaluate(j, k, y) of make_circle's
+    cross-section, whose evaluator computes the same column on its own.
+    """
+    L = float(circumference)
+    y = np.asarray(y, dtype=float)
+    phase = np.multiply.outer(y, 2.0 * math.pi * np.arange(1, max_mode + 1) / L)
+    out = np.empty(y.shape + (2 * max_mode + 1,))
+    out[..., 0] = 1.0 / math.sqrt(L)
+    # cos and sin of the contiguous phase array, then the strided copy
+    out[..., 1::2] = math.sqrt(2.0 / L) * np.cos(phase)
+    out[..., 2::2] = math.sqrt(2.0 / L) * np.sin(phase)
+    return out
 
 
 def _sphere_multiplicity(n: int, k: int) -> int:

@@ -37,9 +37,8 @@ from typing import Optional, Sequence, Union
 from .cone_symbol import (
     MERGE_TOL,
     AsymptoticTerm,
-    PoleCatalog,
     PoleEntry,
-    compute_bilaplacian_poles,
+    bilaplacian_poles_in,
     compute_poles,
     indicial_polynomial,
     symbolic_laplacian,
@@ -103,15 +102,16 @@ def weight_window(n: int, epsilon_bar: float) -> tuple:
     return (lo, hi)
 
 
-def interval_I(gamma: float, n: int, catalog: PoleCatalog) -> list:
-    """Catalog entries with location strictly inside ((n+1)/2-gamma-2, (n+1)/2-gamma).
+def interval_I(gamma: float, cs: CrossSection) -> list:
+    """Entries of compute_poles(cs) strictly inside ((n+1)/2-gamma-2, (n+1)/2-gamma).
 
     Raises EndpointCollisionError when some pole sits within MERGE_TOL of the
     lower endpoint (the minimal domain would then fail to be a plain weighted
     Sobolev space).
     """
-    lo = 0.5 * (n + 1) - gamma - 2.0
-    hi = 0.5 * (n + 1) - gamma
+    catalog = compute_poles(cs)
+    lo = 0.5 * (cs.n + 1) - gamma - 2.0
+    hi = 0.5 * (cs.n + 1) - gamma
     for e in catalog:
         if abs(e.location - lo) <= MERGE_TOL:
             raise EndpointCollisionError(
@@ -206,11 +206,6 @@ class ExtensionSpec:
     def n(self) -> int:
         return self.cs.n
 
-    def addon_exponents(self, mode: int, order: int) -> list:
-        """Sorted addon exponents for a mode, order = 2 or 4."""
-        pool = self.laplacian_addons if order == 2 else (self.bilaplacian_addons or [])
-        return sorted(float(a.exponent) for a in pool if a.mode == mode)
-
     def minimal_threshold(self, order: int) -> float:
         """Exponents strictly above this lie in the minimal domain."""
         return self.gamma - 0.5 * (self.n + 1) + order
@@ -274,15 +269,14 @@ def select_extension(gamma: float, p: float, cs: CrossSection) -> ExtensionSpec:
     """
     if p < 1:
         raise ValueError("integrability exponent p must be >= 1")
-    catalog = compute_poles(cs)
-    i_gamma = interval_I(gamma, cs.n, catalog)          # collision check first
+    i_gamma = interval_I(gamma, cs)                     # collision check first
     eb = _epsilon_bar(cs)
     window = weight_window(cs.n, eb)
     if not (window[0] < gamma < window[1]):
         raise ValueError(
             f"gamma = {gamma} outside the admissible weight window ({window[0]}, {window[1]})"
         )
-    i_dual = interval_I(-gamma, cs.n, catalog)
+    i_dual = interval_I(-gamma, cs)
 
     def has_dual_partner(e):
         # the pairing couples q with (n-1) - q across the two intervals
@@ -495,9 +489,7 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
 
     direct = []
     survivors_outside = []
-    for entry in compute_bilaplacian_poles(cs):
-        if not (strip_lo <= entry.location < strip_hi):
-            continue
+    for entry in bilaplacian_poles_in(cs, strip_lo, strip_hi):
         funcs = _surviving_functions(spec, entry)
         in_j = j_lo < entry.location < j_hi
         for terms in funcs:
@@ -557,16 +549,26 @@ def inner_boundary_conditions(spec: ExtensionSpec) -> list:
     cs = spec.cs
     tau4 = spec.minimal_threshold(4)
     tau2 = spec.minimal_threshold(2)
+    low4 = _lowest_exponents(spec.bilaplacian_addons)
+    low2 = _lowest_exponents(spec.laplacian_addons)
     pairs = []
     for j in range(cs.n_modes):
         q_minus = _q_minus(cs, j)
-        a4 = spec.addon_exponents(j, 4)
-        a_j = a4[0] if a4 else _ladder_exponent(q_minus, tau4)
-        a2 = spec.addon_exponents(j, 2)
-        b_j = a2[0] if a2 else _ladder_exponent(q_minus, tau2)
-        pairs.append((float(a_j), float(b_j)))
+        a_j = low4[j] if j in low4 else _ladder_exponent(q_minus, tau4)
+        b_j = low2[j] if j in low2 else _ladder_exponent(q_minus, tau2)
+        pairs.append((a_j, b_j))
     spec.inner_bc = pairs
     return pairs
+
+
+def _lowest_exponents(addons: list) -> dict:
+    """The smallest addon exponent, as a float, of each mode that has addons."""
+    lowest = {}
+    for a in addons:
+        e = float(a.exponent)
+        if a.mode not in lowest or e < lowest[a.mode]:
+            lowest[a.mode] = e
+    return lowest
 
 
 def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> ExtensionSpec:

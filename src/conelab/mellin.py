@@ -93,13 +93,11 @@ class ConeGrid:
         self.t = np.linspace(0.0, self.t_max, self.n_radial + 1)
         self.x = np.exp(-self.t)
         self.omega = np.asarray(cutoff(self.x))
-        chans = []
-        for j in range(self.j_max + 1):
-            for k in range(self.cs.multiplicities[j]):
-                chans.append((j, k))
-        self.channels = chans
-        self.channel_modes = np.array([j for j, _ in chans])
-        self.channel_lams = np.array([float(self.cs.eigenvalue(j)) for j, _ in chans])
+        mults = self.cs.multiplicities[:self.j_max + 1]
+        self.channels = [(j, k) for j, m in enumerate(mults) for k in range(m)]
+        self.channel_modes = np.repeat(np.arange(self.j_max + 1), mults)
+        lams = np.array(self.cs.eigenvalues[:self.j_max + 1], dtype=float)
+        self.channel_lams = lams[self.channel_modes]
         self._synth = None
         self._deriv = None
 

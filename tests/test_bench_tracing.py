@@ -5,13 +5,14 @@ does not find, so a renamed boundary would read as an absent span rather
 than fail.  A small traced conserved run on either transform path must
 fire every span below.  bench/workloads builds its run contexts from
 conelab's public constructors; each workload's own calls run here on
-its small config.
+its small config, and its set-up, which the benchmark's setup_s times,
+must build the context that Config.context() and Stepper build.
 """
 
 import importlib.util
 import os
 
-from conelab import RunConfig, evolve, run
+from conelab import RunConfig, Stepper, evolve, run
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -65,3 +66,22 @@ def test_bench_workloads_run_their_own_calls(tmp_path, monkeypatch):
         for op in wl.ops:
             _, result = wl.execute(op, tracer)
             assert not wl.failed(result), (name, op)
+
+
+def test_bench_setup_builds_the_program_context(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = _bench_module("workloads")
+    tracer = _bench_module("tracing").NullTracer()
+    for name in workloads.NAMES:
+        wl = workloads.make(name, str(tmp_path))
+        config = wl.cfg.to_run_config() if name == "cli-defaults" else wl.config
+        bench_spec, bench_grid, bench_stepper = wl.setup(tracer)
+        spec, grid = config.context()
+        stepper = Stepper(spec, grid, config.dt, config.equation,
+                          config.picard_iters, config.picard_tol)
+        assert bench_spec.inner_bc == spec.inner_bc, name
+        assert bench_grid.t.tobytes() == grid.t.tobytes(), name
+        assert bench_stepper.tip_ratio.tobytes() == stepper.tip_ratio.tobytes(), name
+        assert len(bench_stepper._factors) == len(stepper._factors) == grid.j_max + 1
+        for ours, theirs in zip(bench_stepper._factors, stepper._factors):
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs], name

@@ -7,7 +7,7 @@ from conelab import (AsymptoticTerm, PoleProximityError, apply_symbol,
                      compute_bilaplacian_poles, compute_poles, from_spectrum,
                      invert_symbol, make_circle, make_sphere,
                      symbolic_laplacian)
-from conelab.cone_symbol import indicial_polynomial
+from conelab.cone_symbol import bilaplacian_poles_in, indicial_polynomial
 
 
 def _root_oracle(n, lam):
@@ -138,6 +138,21 @@ def test_for_mode_matches_an_entry_scan(geometry):
     for catalog in (cat, compute_bilaplacian_poles(cs)):
         for j in range(cs.n_modes + 1):         # the last mode has no entries
             assert catalog.for_mode(j) == tuple(e for e in catalog.entries if e.mode == j)
+
+
+@pytest.mark.parametrize("cs", [make_circle(2.0 * np.pi, max_mode=32),
+                                make_circle(3.0, max_mode=8), make_sphere(2, max_degree=6),
+                                from_spectrum(3, [0.0, -3.0, -5.0, -6.0], [1, 4, 3, 2],
+                                              exact_eigenvalues=[0, -3, -5, -6])],
+                         ids=["circle", "float-circle", "sphere", "mixed"])
+def test_bilaplacian_poles_in_filters_the_full_catalog(cs):
+    # the strip of the extension at each weight, an empty interval, and
+    # intervals whose ends sit on poles
+    full = compute_bilaplacian_poles(cs).entries
+    bounds = [(-2.5, 1.5), (-3.25, 0.75), (-1.0, 1.0), (-2.0, 0.0), (0.3, 0.3), (-50.0, 50.0)]
+    for lo, hi in bounds:
+        assert bilaplacian_poles_in(cs, lo, hi).entries == tuple(
+            e for e in full if lo <= e.location < hi)
 
 
 def test_compute_poles_shares_one_unchangeable_catalog():

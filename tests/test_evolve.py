@@ -10,7 +10,7 @@ from numpy.linalg import LinAlgError
 
 from conelab import (ConeGrid, ConfigError, FieldState, PicardDivergenceError,
                      RunConfig, Stepper, TransformPlan, assembly,
-                     build_extension, compatibility_check, constant_state,
+                     build_extension, compatibility_check, cone_symbol, constant_state,
                      default_weight, double_well, energy_functional, evolve,
                      initial_state, make_circle, mass_functional,
                      parse_config, run)
@@ -478,6 +478,23 @@ def test_a_run_builds_one_stencil(monkeypatch):
     monkeypatch.setattr(assembly.RadialOperator, "__init__", counted)
     run(RunConfig(j_max=8, t_max=3.0, T=0.005))
     assert len(built) == 1
+
+
+def test_a_config_builds_one_cross_section(monkeypatch):
+    # coupled_errors checks a given gamma on the cross-section that
+    # context() builds the extension on, so its poles are computed once
+    calls = []
+    roots = cone_symbol._mode_roots
+
+    def counted(cs, j):
+        calls.append(j)
+        return roots(cs, j)
+
+    monkeypatch.setattr(cone_symbol, "_mode_roots", counted)
+    cfg = RunConfig(gamma=-0.5)
+    spec, grid = cfg.context()
+    assert len(calls) == 33
+    assert spec.cs is grid.cs is cfg.cross_section()
 
 
 def _run_bits(result):

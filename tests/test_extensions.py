@@ -41,12 +41,12 @@ def test_default_weight_is_window_midpoint(cs8):
 
 def test_interval_I_contents_and_collision():
     cs = make_circle(2.0 * np.pi, max_mode=5)
-    cat = compute_poles(cs)
-    inside = interval_I(-0.5, 1, cat)
+    inside = interval_I(-0.5, cs)
     assert sorted((e.exact, e.mode) for e in inside) == [(Fraction(0), 0), (Fraction(1), 1)]
+    assert all(e in compute_poles(cs) for e in inside)
     # pole at 0 sits exactly on the lower line for gamma = -1
     with pytest.raises(EndpointCollisionError):
-        interval_I(-1.0, 1, cat)
+        interval_I(-1.0, cs)
 
 
 def test_selected_choices_at_default_weight(cs8):

@@ -294,6 +294,26 @@ def test_dtheta_matches_dense_product(grid8):
     assert plan.dtheta(co).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("j_max, L", [(32, 2.0 * np.pi), (128, 2.0 * np.pi), (32, 3.0)])
+def test_transform_plan_matches_per_channel_build(j_max, L):
+    # the whole-array S (at j_max = 128 the FFT path's lazily built one)
+    # against one cs.evaluate call per channel, and the derivative
+    # partners and weights against a channel_index lookup per channel
+    cs = make_circle(L, max_mode=j_max)
+    grid = ConeGrid(cs, 3.0, 20, j_max=j_max)
+    plan = assembly.TransformPlan(grid)
+    ref = np.column_stack([cs.evaluate(j, k, plan.theta) for j, k in grid.channels])
+    assert plan.S.tobytes() == ref.tobytes()
+    partner, weight = np.arange(grid.n_channels), np.zeros(grid.n_channels)
+    for c, (j, k) in enumerate(grid.channels):
+        if j:
+            w = 2.0 * np.pi * j / L
+            partner[grid.channel_index(j, 1 - k)] = c
+            weight[grid.channel_index(j, 1 - k)] = -w if k == 0 else w
+    assert plan._partner.tobytes() == partner.tobytes()
+    assert plan._weight.tobytes() == weight.tobytes()
+
+
 def test_field_operator_matches_per_mode_product(grid8, spec8, tall):
     # the whole-field stencil through FieldOperator and Stepper.laplace
     # against each mode's LIL-built matrix as a CSR product

@@ -1,0 +1,94 @@
+"""Byte pins of the symbolic layer: pole catalogs and extension domains.
+
+The sha256 of poles.json and domain.json for circle, half-circle and
+sphere configs, and of the same payloads for spectrum-only cross-sections
+whose discriminants are partly or wholly irrational, so that any change
+to the exact or float pole bookkeeping that moves an output byte fails
+here.  The digests were recorded from the Fraction-based bookkeeping that
+the integer one replaced.
+"""
+
+import hashlib
+import math
+from fractions import Fraction
+
+import pytest
+
+from conelab import (build_extension, compute_bilaplacian_poles, compute_poles,
+                     default_weight, from_spectrum, make_circle, make_sphere)
+from conelab.cli import CliConfig, _ser, dispatch
+
+CLI_PINS = {
+    "circle-32": ({},
+                  "79e44ccaeec3dcde0c639b92d04bdf8d0158f6651eee3863cb7bc545c8c33452",
+                  "33dd61d3293cb94a63d658de3fd094d046e44bf8a607b4cff408050e4cad4eac"),
+    "circle-128": ({"j_max": 128},
+                   "58d4631c40ba6484be25786c65f513f6bb1967e0f04f0c8542718ef1062bc774",
+                   "306d96e3cd04ff618c342f9e2c28772e887316cf7825f8c04bbef7bbf0b19293"),
+    "half-circle": ({"L": math.pi},
+                    "b0dca9c3d66f3400853bcff529f4375d09759c56fdc8e43f20787d646b891837",
+                    "373aaffb8157a11b491123ec78799d4cad641bf4742f04e9aaa57c7cc4df201d"),
+    "gamma-0.25": ({"gamma": -0.25},
+                   "79e44ccaeec3dcde0c639b92d04bdf8d0158f6651eee3863cb7bc545c8c33452",
+                   "fe1156e41f52b1fdab4f7fb31c73e080d98a63e8c88587993f601800905721ee"),
+    "sphere-6": ({"geometry": "sphere", "j_max": 6},
+                 "55ab53714ee0f8bab31a68376ca6865a04ff64ec068eef10f17fdec4eab2335b",
+                 "8de40c5e3e7cdc8035c7863f016cf715fc8c40eafafa0b837eaecc08c6249ab6"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_poles_and_domain_files_are_pinned(name, tmp_path):
+    overrides, poles_sha, domain_sha = CLI_PINS[name]
+    cfg = CliConfig(**overrides)
+    for command in ("poles", "domain"):
+        assert dispatch(command, cfg, str(tmp_path)) == 0
+    assert _sha((tmp_path / "poles.json").read_bytes()) == poles_sha
+    assert _sha((tmp_path / "domain.json").read_bytes()) == domain_sha
+
+
+# n = 3: the discriminant 1 - lam is a square at lam = 0, -3, -8 (exact
+# roots) and not at -5, -6 (float roots), and at -5/4 and -21/4 a square
+# of a fraction; with no exact spectrum every root is a float
+SPECTRA = {
+    "mixed": (lambda: from_spectrum(3, [0.0, -3.0, -5.0, -6.0, -8.0], [1, 4, 3, 2, 9],
+                                    exact_eigenvalues=[0, -3, -5, -6, -8]), 0.5,
+              "848bc84f7a9734b2f2ce01e0f8fc3a0f39f3ef66bbac74d2c6f49c837d88f99b",
+              "d27d7ef4b3d546e54f0ca850a448cd78e10d9b4b174c24e88baaa17de9d4a3f6"),
+    "rational": (lambda: from_spectrum(3, [0.0, -1.25, -3.0, -5.25], [1, 2, 4, 2],
+                                       exact_eigenvalues=[0, Fraction(-5, 4), -3,
+                                                          Fraction(-21, 4)]),
+                 None,
+                 "d7517b474321afe94061b36f76c64d84bf3b3b0d8c548f3940633b7724c4f007",
+                 "ecdbce295f55d517ee8837ea107fef21c3e881fcf8f99a1c4fe1024c14573356"),
+    "float-only": (lambda: from_spectrum(1, [0.0, -2.0, -5.0], [1, 2, 2]), None,
+                   "971d6adf228b373436d061ccf324e919388fd72a4ba9bae3ac0feac0bdc1f45a",
+                   "0995795b40cab3b9ac9f8649531f3b8a778f132c5e61715c0be54ff7ce8f1fc9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_spectrum_payloads_are_pinned(name):
+    build, gamma, poles_sha, domain_sha = SPECTRA[name]
+    cs = build()
+    poles = {"laplacian": compute_poles(cs).to_json_dict(),
+             "bilaplacian": compute_bilaplacian_poles(cs).to_json_dict()}
+    gamma = default_weight(cs) if gamma is None else gamma
+    domain = build_extension(cs, gamma, 2.0).to_json_dict()
+    assert _sha(_ser(poles).encode()) == poles_sha
+    assert _sha(_ser(domain).encode()) == domain_sha
+
+
+@pytest.mark.parametrize("cs", [make_circle(2.0 * math.pi, 8), make_circle(math.pi, 8),
+                                make_sphere(2, 6), SPECTRA["mixed"][0](),
+                                SPECTRA["rational"][0]()],
+                         ids=["circle", "half-circle", "sphere", "mixed", "rational"])
+def test_exact_values_are_fractions(cs):
+    assert all(type(v) is Fraction for v in cs.exact_eigenvalues)
+    exacts = [e.exact for cat in (compute_poles(cs), compute_bilaplacian_poles(cs))
+              for e in cat if e.exact is not None]
+    assert exacts and all(type(v) is Fraction for v in exacts)
