@@ -23,12 +23,13 @@ points so that projecting a product of three band-limited factors back
 onto the retained modes is exact (plain 3/2 padding is not enough for
 the cubic terms; see notes).  Below j_max = 64 it is a dense product
 with the synthesis matrix on exactly 4 j_max + 5 angles; from j_max = 64
-on it is a real FFT on the least 5-smooth grid of at least that many
-angles, which builds the synthesis matrix only if it is read.  The
+on it is a numpy.fft real FFT on the least 5-smooth grid of at least that
+many angles, which builds the synthesis matrix only if it is read.  The
 switch sits at the measured crossover: on one thread the dense product
 is faster at j_max = 32 and the FFT at 64 and above.
 """
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -159,6 +160,12 @@ class FieldOperator:
 FFT_MIN_J_MAX = 64
 
 
+def smooth_length(n: int) -> int:
+    """The least m >= n >= 1 with no prime factor above 5 (30^bits(m)
+    holds every power of 2, 3 and 5 that can divide m)."""
+    return next(m for m in range(n, 2 * n + 1) if m == math.gcd(m, 30 ** m.bit_length()))
+
+
 @dataclass(eq=False)
 class TransformPlan:
     """Uniform-angle synthesis/analysis pair for circle cross-sections.
@@ -169,13 +176,14 @@ class TransformPlan:
     retained band as long as m exceeds twice the top mode; m is padded
     further so cubic products project back without aliasing.  Below
     j_max = FFT_MIN_J_MAX both are dense products with S on 4 j_max + 5
-    angles.  From there on both are real FFTs on the least 5-smooth m of
-    at least 4 j_max + 5: scipy.fftpack's packed real spectrum
-    [y0, Re y1, Im y1, Re y2, ...] is already the channel order (0, 0),
-    (1, 0), (1, 1), (2, 0), ..., so each transform is one FFT and one
-    per-channel scale; S is then only a reference, built the first time
-    it is read.  The plan keeps no reference to its grid, which caches
-    it: a cycle would outlive both until the cyclic collector runs.
+    angles.  From there on both are numpy.fft real FFTs on the least
+    5-smooth m of at least 4 j_max + 5, a row block at a time: the
+    float64 view of the half spectrum holds channel 0 at index 0 and
+    channel c >= 1 at index c + 1, so each is one FFT and one per-channel
+    scale, and S is only a reference, built at its first read.  Neither
+    writes into its input.  The plan keeps no reference to its grid,
+    which caches it: a cycle would outlive both until the cyclic
+    collector runs.
     """
 
     grid: InitVar[ConeGrid]
@@ -191,13 +199,7 @@ class TransformPlan:
                              f"need more than {2 * jm} angles")
         use_fft = jm >= FFT_MIN_J_MAX
         pad = 4 * jm + 5
-        if use_fft:
-            # imported here, not at module level: loading scipy's FFTs adds
-            # about 5 MB of resident memory, which the dense path never uses
-            from scipy import fftpack
-            self.m = self.n_phys or fftpack.next_fast_len(pad)
-        else:
-            self.m = self.n_phys or max(pad, 8)
+        self.m = self.n_phys or (smooth_length(pad) if use_fft else max(pad, 8))
         L = float(cs.circumference)
         self.theta = L * np.arange(self.m) / self.m
         self._L, self._j_max = L, jm
@@ -213,8 +215,8 @@ class TransformPlan:
         self._weight = 2.0 * np.pi * grid.channel_modes / L
         self._weight[2::2] *= -1.0
         if use_fft:
-            # channel c is fftpack's packed entry c: y0 for mode 0, then
-            # Re y_j and Im y_j for cos and sin, Im carrying the opposite sign
+            # channel c is Re y0 for mode 0, then Re y_j and Im y_j for
+            # cos and sin, Im carrying the opposite sign
             mode0 = grid.channel_modes == 0
             norm = np.where(mode0, 1.0 / np.sqrt(L), np.sqrt(2.0 / L))
             norm[2::2] *= -1.0
@@ -231,29 +233,37 @@ class TransformPlan:
             self._S = circle_basis(self._L, self._j_max, self.theta)
         return self._S
 
+    def _blocks(self, rows: int):
+        """(row slice, half-spectrum block, its float64 view) per row block."""
+        step = block_rows(self.m + 2)
+        spectrum = np.zeros((min(step, rows), self.m // 2 + 1), dtype=complex)
+        for lo in range(0, rows, step):
+            block = spectrum[:min(step, rows - lo)]
+            yield slice(lo, lo + step), block, block.view(float)
+
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         if self._synth_scale is None:
             return coeffs @ self.S.T
-        from scipy import fftpack
-        x = np.zeros((coeffs.shape[0], self.m))
-        np.multiply(coeffs, self._synth_scale, out=x[:, :coeffs.shape[1]])
-        # in place: the zero-padded spectrum becomes the values
-        return fftpack.irfft(x, axis=1, overwrite_x=True)
+        scale, nc = self._synth_scale, coeffs.shape[1]
+        out = np.empty((coeffs.shape[0], self.m))
+        # Im y0 and the modes past the band stay zero in every block
+        for rows, spectrum, flat in self._blocks(coeffs.shape[0]):
+            np.multiply(coeffs[rows, :1], scale[:1], out=flat[:, :1])
+            np.multiply(coeffs[rows, 1:], scale[1:], out=flat[:, 2:nc + 1])
+            np.fft.irfft(spectrum, self.m, axis=1, out=out[rows])
+        return out
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Mode coefficients of values on the padded grid.
-
-        values is scratch: on the FFT path the transform overwrites it
-        rather than allocate a full spectrum of which it keeps n_channels
-        columns.  Every caller in conelab passes a temporary; pass a copy
-        of an array you still need.
-        """
+        """Mode coefficients of values on the padded grid."""
         if self._analysis_scale is None:
             return values @ self._analysis
-        from scipy import fftpack
-        nc = self._analysis_scale.size
-        spectrum = fftpack.rfft(values, axis=1, overwrite_x=True)
-        return spectrum[:, :nc] * self._analysis_scale
+        scale, nc = self._analysis_scale, self._analysis_scale.size
+        out = np.empty((values.shape[0], nc))
+        for rows, spectrum, flat in self._blocks(values.shape[0]):
+            np.fft.rfft(values[rows], axis=1, out=spectrum)
+            np.multiply(flat[:, :1], scale[:1], out=out[rows, :1])
+            np.multiply(flat[:, 2:nc + 1], scale[1:], out=out[rows, 1:])
+        return out
 
     def synthesise(self, coeffs: np.ndarray) -> List[np.ndarray]:
         """[values, angular derivative] of a field on the padded physical grid."""
@@ -265,10 +275,6 @@ class TransformPlan:
         # a zero product comes out +0.0, never -0.0
         out += 0.0
         return out
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mode coefficients of the pointwise product of two fields."""
-        return self.to_modes(self.to_physical(a) * self.to_physical(b))
 
 
 def transform_plan(grid: ConeGrid) -> TransformPlan:
@@ -388,8 +394,7 @@ def nonlinearity(u: FieldState, spec: ExtensionSpec
     # one pass through the padded grid: projecting the pairing to the
     # retained band before multiplying by u would fold away the high
     # modes that the cubic chain rule needs
-    D = grid.radial_derivative_matrix()
-    rad = plan.to_physical(D @ u.coeffs)
+    rad = plan.to_physical(grid.radial_derivative(u.coeffs))
     ang = plan.to_physical(plan.dtheta(u.coeffs))
     pair_phys = (rad * rad + ang * ang) * np.exp(2.0 * grid.t)[:, np.newaxis]
     F = u.like(6.0 * plan.to_modes(u_phys * pair_phys))

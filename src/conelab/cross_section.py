@@ -177,16 +177,8 @@ def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
     theta = np.arange(n_quad) * (L / n_quad)
     weights = np.full(n_quad, L / n_quad)
 
-    root_L = math.sqrt(L)
-
     def evaluator(j, k, y):
-        y = np.asarray(y, dtype=float)
-        if j == 0:
-            return np.full_like(y, 1.0 / root_L)
-        freq = 2.0 * math.pi * j / L
-        if k == 0:
-            return math.sqrt(2.0 / L) * np.cos(freq * y)
-        return math.sqrt(2.0 / L) * np.sin(freq * y)
+        return circle_basis(L, j, y)[..., 2 * j - 1 + k if j else 0]
 
     return CrossSection(
         n=1,
@@ -207,8 +199,7 @@ def circle_basis(circumference: float, max_mode: int, y) -> np.ndarray:
     One column per channel, in the order (0, 0), (1, 0), (1, 1), (2, 0), ...:
     the constant 1/sqrt(L), then sqrt(2/L) cos(w_j y) and sqrt(2/L) sin(w_j y),
     w_j = 2 pi j / L, from one cos and one sin evaluation over angles x modes.
-    Column (j, k) holds the bits of evaluate(j, k, y) of make_circle's
-    cross-section, whose evaluator computes the same column on its own.
+    make_circle's evaluate(j, k, y) is column (j, k) of circle_basis(L, j, y).
     """
     L = float(circumference)
     y = np.asarray(y, dtype=float)

@@ -401,9 +401,6 @@ def mass_functional(u: FieldState) -> float:
     return float(grid.dt * np.sqrt(float(grid.cs.area())) * np.sum(w * col))
 
 
-_ROWS = 64      # row block of energy_functional's density
-
-
 def energy_functional(u: FieldState,
                       evaluation: Optional[List[np.ndarray]] = None) -> float:
     """Double-well energy int 1/4 (u^2-1)^2 + 1/2 (grad u, grad u)_g dvol.
@@ -419,13 +416,14 @@ def energy_functional(u: FieldState,
     grid = u.grid
     plan = transform_plan(grid)
     phys, angular = evaluation or plan.synthesise(u.coeffs)
-    dens = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
+    dens = plan.to_physical(grid.radial_derivative(u.coeffs))
     dens *= dens
     e2t = np.exp(2.0 * grid.t)[:, np.newaxis]
     # the rest goes a block of rows at a time, so that no second
     # padded-grid array is alive beside the evaluation and dens
-    for lo in range(0, grid.n_nodes, _ROWS):
-        rows = slice(lo, lo + _ROWS)
+    step = block_rows(plan.m)
+    for lo in range(0, grid.n_nodes, step):
+        rows = slice(lo, lo + step)
         block = dens[rows]
         block += angular[rows] * angular[rows]
         block *= e2t[rows]
@@ -435,6 +433,7 @@ def energy_functional(u: FieldState,
         well **= 2
         well *= 0.25
         block += well
+        del well
     L = float(grid.cs.circumference)
     radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
     return float(_trapezoid(radial, grid.t))

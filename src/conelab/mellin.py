@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 
-from .cross_section import CrossSection
+from .cross_section import CrossSection, circle_basis
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -99,7 +98,6 @@ class ConeGrid:
         lams = np.array(self.cs.eigenvalues[:self.j_max + 1], dtype=float)
         self.channel_lams = lams[self.channel_modes]
         self._synth = None
-        self._deriv = None
 
     @property
     def n_nodes(self) -> int:
@@ -126,27 +124,37 @@ class ConeGrid:
             if self.cs.nodes is None:
                 raise ValueError("cross-section carries no quadrature nodes")
             y = np.asarray(self.cs.nodes)
-            cols = [self.cs.evaluate(j, k, y) for j, k in self.channels]
-            self._synth = np.column_stack(cols)
+            if self.cs.geometry == "circle":
+                self._synth = circle_basis(self.cs.circumference, self.j_max, y)
+            else:
+                cols = [self.cs.evaluate(j, k, y) for j, k in self.channels]
+                self._synth = np.column_stack(cols)
         return self._synth
 
-    def radial_derivative_matrix(self) -> sp.csr_matrix:
-        """d/dt matrix: central interior rows, one-sided second order ends.
+    def radial_derivative(self, values: np.ndarray) -> np.ndarray:
+        """d/dt along axis 0: central interior rows, one-sided second order ends.
 
-        Stored sparse; ordered row sums make D @ (constant) vanish bitwise
-        away from the two one-sided end rows.
+        values holds the first R >= 3 nodes of a field that is zero past
+        them.  The bits are those of the sparse d/dt matrix's leading
+        R x R block times values, which sums each row's products in
+        column order from +0.0.
         """
-        if self._deriv is None:
-            m = self.n_nodes
-            h = self.dt
-            D = sp.lil_matrix((m, m))
-            idx = np.arange(1, m - 1)
-            D[idx, idx - 1] = -0.5 / h
-            D[idx, idx + 1] = 0.5 / h
-            D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-            D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-            self._deriv = D.tocsr()
-        return self._deriv
+        h = self.dt
+        out = np.empty(values.shape)
+        # out[i + 1] = (0.5 / h) u[i]; row i = out[i + 2] - out[i] goes over out[i]
+        # (a ufunc computes as if overlapping operands did not overlap);
+        # (0 + (-a)) + b == (b - a) + 0 bitwise, and += 0.0 adds the 0
+        np.multiply(values[:-1], 0.5 / h, out=out[1:])
+        np.subtract(out[3:], out[1:-2], out=out[1:-2])
+        out[-2] = (0.5 / h) * values[-1] - out[-2]
+        if values.shape[0] == self.n_nodes:
+            out[-1] = (0.0 + (0.5 / h) * values[-3] + (-2.0 / h) * values[-2]
+                       + (1.5 / h) * values[-1])
+        else:
+            out[-1] = -out[-1]
+        out[0] = 0.0 + (-1.5 / h) * values[0] + (2.0 / h) * values[1] + (-0.5 / h) * values[2]
+        out += 0.0
+        return out
 
 
 @dataclass(eq=False)
@@ -221,19 +229,15 @@ def _stack_sums(grid: ConeGrid, radial: np.ndarray, k: int, p: float):
 
     radial may hold only the first R nodes of a field that is zero on the
     rest, with R at least one past the last nonzero node of the order-k
-    term; the derivatives then go through D[:R, :R], which drops only
-    products with those zeros.  Every term and its power are formed in
-    one scratch buffer.
+    term (see ConeGrid.radial_derivative).  Every term and its power are
+    formed in one scratch buffer.
     """
-    D = grid.radial_derivative_matrix()
-    if radial.shape[0] < grid.n_nodes:
-        D = D[:radial.shape[0], :radial.shape[0]]
     mult = np.sqrt(np.maximum(-grid.channel_lams, 0.0))
     powers = [mult ** m for m in range(1, k + 1)]
     buf = np.empty_like(radial)
     for i in range(k + 1):
         if i:
-            radial = D @ radial
+            radial = grid.radial_derivative(radial)
         for m in range(k + 1 - i):
             w = np.multiply(radial, powers[m - 1], out=buf) if m else radial
             yield _p_power_radial(grid, w, p, buf)

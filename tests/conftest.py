@@ -4,9 +4,24 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conelab
 from conelab import ConeGrid, build_extension, default_weight, make_circle
+
+
+def lil_derivative_matrix(grid):
+    """The d/dt matrix built as a LIL matrix and stored as CSR: the
+    reference whose products ConeGrid.radial_derivative gives bit for bit."""
+    m = grid.n_nodes
+    h = grid.dt
+    D = sp.lil_matrix((m, m))
+    idx = np.arange(1, m - 1)
+    D[idx, idx - 1] = -0.5 / h
+    D[idx, idx + 1] = 0.5 / h
+    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    return D.tocsr()
 
 
 @pytest.fixture(scope="session")

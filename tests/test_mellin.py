@@ -6,6 +6,7 @@ import pytest
 from conelab import (ConeGrid, FieldState, constant_state, cutoff, make_circle,
                      mellin_norm, membership_test, monomial_state)
 from conelab.mellin import _trapezoid, mellin_norms
+from conftest import lil_derivative_matrix
 
 
 def test_cutoff_plateaus_and_smoothness():
@@ -31,16 +32,32 @@ def test_grid_basic_layout(cs8):
         ConeGrid(cs8, 2.0, 16, j_max=99)
 
 
-def test_radial_derivative_matrix_is_sparse_and_exact_on_constants(grid8):
-    import scipy.sparse as sp
-    D = grid8.radial_derivative_matrix()
-    assert sp.issparse(D)
-    v = D @ np.ones(grid8.n_nodes)
+@pytest.mark.parametrize("rows", [None, 150, 40, 3])
+def test_radial_derivative_matches_lil_matrix(grid8, rows):
+    # rows of R < n_nodes nodes go through the matrix's leading R x R
+    # block; a band of +0.0 and -0.0 rows, and last rows of +0.0 and -0.0
+    # before the cut, must give the signs of zero the sparse product gives
+    R = rows or grid8.n_nodes
+    D = lil_derivative_matrix(grid8)[:R, :R]
+    rng = np.random.default_rng(31)
+    co = rng.normal(size=(grid8.n_nodes, grid8.n_channels))[:R]
+    co[1:R:7] = np.where(rng.random((len(co[1:R:7]), co.shape[1])) < 0.5, 0.0, -0.0)
+    co[:, 2] = -0.0
+    zero_end = co.copy()
+    zero_end[R - 2] = 0.0
+    zero_end[R - 1] = -0.0
+    for values in (co, zero_end, co[:, 3]):
+        assert grid8.radial_derivative(values).tobytes() == (D @ values).tobytes()
+    assert np.signbit(grid8.radial_derivative(zero_end)[R - 1]).sum() == 0
+
+
+def test_radial_derivative_is_exact_on_constants(grid8):
+    v = grid8.radial_derivative(np.ones(grid8.n_nodes))
     # interior rows cancel bitwise; one-sided end rows too (1.5 - 2 + 0.5)
-    assert np.all(v == 0.0)
+    assert v.tobytes() == np.zeros(grid8.n_nodes).tobytes()
     # second-order accuracy on a smooth profile
     f = np.sin(grid8.t)
-    err = np.max(np.abs((D @ f)[1:-1] - np.cos(grid8.t)[1:-1]))
+    err = np.max(np.abs(grid8.radial_derivative(f)[1:-1] - np.cos(grid8.t)[1:-1]))
     assert err < grid8.dt ** 2
 
 

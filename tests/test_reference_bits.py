@@ -9,7 +9,7 @@ functionals called on each state, the weighted norms formed
 full-height from fresh temporaries, the energy density and sup norm
 formed on the padded angular grid from fresh temporaries, a relaxational
 run that synthesises each state afresh, a snapshot CSV formatted one
-value at a time, FFT analysis that leaves its input alone, and the
+value at a time, the angular FFTs as scipy.fftpack transforms, and the
 exponent scan as one least-squares fit per rate.  Every array comparison
 is on tobytes(), so a flipped sign of zero fails as well.
 """
@@ -17,6 +17,7 @@ is on tobytes(), so a flipped sign of zero fails as well.
 import copy
 import functools
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy import fftpack
 from scipy.linalg import solve_banded
 
 from conelab import (ConeGrid, FieldState, RunConfig, Stepper, ZeroModeError,
-                     asymptotics, build_extension, cubic_field, default_weight,
+                     asymptotics, build_extension, default_weight,
                      double_well, energy_functional, fit_exponents,
                      flux_divergence, initial_state, laplacian_suite,
                      make_circle, make_sphere, mellin_norm, monomial_state,
@@ -40,6 +41,7 @@ from conelab.cli import _fmt, _ser, _snapshot_text
 from conelab.evolve import (EQUATIONS, _diagnostics_row, _transport, banded_lu,
                             banded_solve, implicit_bands, run)
 from conelab.mellin import _trapezoid, mellin_norms
+from conftest import lil_derivative_matrix
 
 
 def to_banded(mat: sp.spmatrix, kl: int, ku: int) -> np.ndarray:
@@ -294,16 +296,30 @@ def test_dtheta_matches_dense_product(grid8):
     assert plan.dtheta(co).tobytes() == ref.tobytes()
 
 
+def _circle_column(L, j, k, y):
+    """Eigenfunction (j, k) of the circle of circumference L at the angles y."""
+    if j == 0:
+        return np.full_like(y, 1.0 / math.sqrt(L))
+    freq = 2.0 * math.pi * j / L
+    if k == 0:
+        return math.sqrt(2.0 / L) * np.cos(freq * y)
+    return math.sqrt(2.0 / L) * np.sin(freq * y)
+
+
 @pytest.mark.parametrize("j_max, L", [(32, 2.0 * np.pi), (128, 2.0 * np.pi), (32, 3.0)])
 def test_transform_plan_matches_per_channel_build(j_max, L):
-    # the whole-array S (at j_max = 128 the FFT path's lazily built one)
-    # against one cs.evaluate call per channel, and the derivative
-    # partners and weights against a channel_index lookup per channel
+    # the whole-array S (at j_max = 128 the FFT path's lazily built one),
+    # the grid's synthesis matrix and cs.evaluate against one column per
+    # channel, and the derivative partners and weights against a
+    # channel_index lookup per channel
     cs = make_circle(L, max_mode=j_max)
     grid = ConeGrid(cs, 3.0, 20, j_max=j_max)
     plan = assembly.TransformPlan(grid)
-    ref = np.column_stack([cs.evaluate(j, k, plan.theta) for j, k in grid.channels])
-    assert plan.S.tobytes() == ref.tobytes()
+    for y, got in ((plan.theta, plan.S), (cs.nodes, grid.synthesis_matrix())):
+        ref = np.column_stack([_circle_column(L, j, k, y) for j, k in grid.channels])
+        assert got.tobytes() == ref.tobytes()
+        evaluated = np.column_stack([cs.evaluate(j, k, y) for j, k in grid.channels])
+        assert evaluated.tobytes() == ref.tobytes()
     partner, weight = np.arange(grid.n_channels), np.zeros(grid.n_channels)
     for c, (j, k) in enumerate(grid.channels):
         if j:
@@ -416,7 +432,7 @@ def test_run_rows_match_diagnostics_functionals(grid8, spec8, equation):
 
 
 def _full_stack_terms(grid, coeffs, k):
-    D = grid.radial_derivative_matrix()
+    D = lil_derivative_matrix(grid)
     mult = np.sqrt(np.maximum(-grid.channel_lams, 0.0))
     radial = [coeffs]
     for _ in range(k):
@@ -461,7 +477,7 @@ def _padded_values_and_gradient(u):
     grid = u.grid
     plan = transform_plan(grid)
     phys = plan.to_physical(u.coeffs)
-    ut = plan.to_physical(grid.radial_derivative_matrix() @ u.coeffs)
+    ut = plan.to_physical(lil_derivative_matrix(grid) @ u.coeffs)
     uy = plan.to_physical(plan.dtheta(u.coeffs))
     return phys, ut, uy
 
@@ -620,30 +636,48 @@ def test_snapshot_text_matches_per_value_format(grid8, spec8):
         assert got == _per_value_snapshot_text(snap).encode()
 
 
-def test_fft_analysis_in_place_matches_fresh_input(monkeypatch, grid64):
-    # on the FFT path to_modes transforms its input in place; every
-    # caller's coefficients must keep the bits of a transform that leaves
-    # its input alone
-    plan = transform_plan(grid64)
-    rng = np.random.default_rng(12)
-    values = rng.normal(size=(grid64.n_nodes, plan.m))
-    scratch = values.copy()
-    u = FieldState(grid64, rng.normal(size=(grid64.n_nodes, grid64.n_channels)))
-    s = rng.normal(size=(grid64.n_nodes, plan.m))
+def _fftpack_transforms(grid, m):
+    """to_physical and to_modes as scipy.fftpack real FFTs: the packed
+    spectrum [y0, Re y1, Im y1, Re y2, ...] is the channel order."""
+    L = float(grid.cs.circumference)
+    mode0 = grid.channel_modes == 0
+    norm = np.where(mode0, 1.0 / np.sqrt(L), np.sqrt(2.0 / L))
+    norm[2::2] *= -1.0
+    synth = norm * np.where(mode0, m, 0.5 * m)
+    analysis = norm * (L / m)
 
-    def outputs(field):
-        return [plan.to_modes(field).tobytes(), cubic_field(u).coeffs.tobytes(),
-                flux_divergence(s, u.coeffs, grid64).tobytes(),
-                plan.product(u.coeffs, u.coeffs).tobytes()]
+    def to_physical(coeffs):
+        x = np.zeros((coeffs.shape[0], m))
+        x[:, :coeffs.shape[1]] = coeffs * synth
+        return fftpack.irfft(x, axis=1)
 
-    got = outputs(scratch)
-    assert not np.array_equal(scratch, values)
-    rfft = fftpack.rfft
-    monkeypatch.setattr(fftpack, "rfft",
-                        lambda x, axis, overwrite_x: rfft(x, axis=axis))
-    fresh = values.copy()
-    assert outputs(fresh) == got
-    assert np.array_equal(fresh, values)
+    def to_modes(values):
+        return fftpack.rfft(values, axis=1)[:, :analysis.size] * analysis
+
+    return to_physical, to_modes
+
+
+@pytest.mark.parametrize("j_max, n_phys", [(64, None), (128, None), (64, 261)])
+def test_fft_transforms_match_fftpack(j_max, n_phys):
+    grid = ConeGrid(make_circle(2.0 * np.pi, max_mode=j_max), 3.0, 300, j_max=j_max)
+    plan = assembly.TransformPlan(grid, n_phys)
+    assert plan.m == (n_phys or fftpack.next_fast_len(4 * j_max + 5))
+    # several row blocks of the half spectrum, the last one partial
+    assert grid.n_nodes > 2 * assembly.block_rows(plan.m + 2)
+    to_physical, to_modes = _fftpack_transforms(grid, plan.m)
+    rng = np.random.default_rng(j_max + plan.m)
+    coeffs = rng.normal(size=(grid.n_nodes, grid.n_channels))
+    coeffs[::5, ::3] = -0.0
+    values = rng.normal(size=(grid.n_nodes, plan.m))
+    kept = values.copy()
+    assert plan.to_physical(coeffs).tobytes() == to_physical(coeffs).tobytes()
+    assert plan.to_modes(values).tobytes() == to_modes(kept).tobytes()
+    assert values.tobytes() == kept.tobytes()
+
+
+def test_smooth_length_matches_fftpack():
+    assert [assembly.smooth_length(n) for n in range(1, 5000)] == \
+        [fftpack.next_fast_len(n) for n in range(1, 5000)]
 
 
 @pytest.fixture(scope="module")
