@@ -35,7 +35,7 @@ def _keep_freed_heap():
 
 _keep_freed_heap()
 
-from .cross_section import CrossSection, make_circle, make_sphere, from_spectrum, project
+from .cross_section import CrossSection, make_circle, make_sphere, from_spectrum
 from .cone_symbol import (
     AsymptoticTerm,
     PoleCatalog,
@@ -53,12 +53,9 @@ from .extensions import (
     ExtensionSpec,
     InconsistentDomainError,
     admissible_window,
-    bilaplacian_domain,
     build_extension,
     default_weight,
-    inner_boundary_conditions,
     interval_I,
-    select_extension,
     weight_window,
 )
 from .mellin import (

@@ -43,9 +43,6 @@ from .mellin import ConeGrid, FieldState
 def _check_pair(grid: ConeGrid, spec: ExtensionSpec):
     if spec.cs is not grid.cs:
         raise ValueError("grid and extension spec must share one cross-section")
-    if spec.inner_bc is None:
-        raise ValueError("extension spec lacks inner boundary data; "
-                         "run build_extension first")
 
 
 class RadialOperator:

@@ -184,8 +184,6 @@ def match_catalog(a_hat: float, spec: ExtensionSpec, tol: float = DEFAULTS["fit_
     Admissible rates are the fourth-order addon exponents (restricted to
     one mode when given) together with the minimal-domain threshold.
     """
-    if spec.bilaplacian_addons is None:
-        raise ValueError("spec lacks the fourth-order addon list")
     exps = set()
     for addon in spec.bilaplacian_addons:
         if mode is None or addon.mode == mode:

@@ -2,11 +2,12 @@
 
 A cross section is described by the spectrum of its Laplace-Beltrami operator:
 a finite list of distinct eigenvalues 0 = lam_0 > lam_1 > ... with
-multiplicities, an orthonormal family of eigenfunctions and a quadrature rule
-that integrates products of the retained eigenfunctions exactly (up to
-roundoff).  Two concrete geometries are built in, the flat circle of
-prescribed circumference and the round unit sphere; arbitrary spectra can be
-supplied directly for symbol-level work.
+multiplicities.  Three kinds are built in: the flat circle of prescribed
+circumference, the round unit sphere S^n and an arbitrary spectrum supplied
+directly.  Only the circle, on which the simulations run, also carries a
+basis: circle_basis evaluates its orthonormal eigenfunctions, and a uniform
+quadrature rule integrates products of the retained ones exactly (up to
+roundoff).  The sphere and a raw spectrum serve the symbol-level work.
 
 Eigenvalues are kept twice when possible: as floats, and as exact rationals
 (`fractions.Fraction`) whenever the construction yields them exactly.  The
@@ -17,12 +18,11 @@ coincident roots without tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "CrossSection",
@@ -30,7 +30,6 @@ __all__ = [
     "circle_basis",
     "make_sphere",
     "from_spectrum",
-    "project",
 ]
 
 
@@ -55,10 +54,11 @@ class CrossSection:
         Exact rational values when available, parallel to `eigenvalues`.
     geometry : str
         One of "circle", "sphere", "spectrum".
+    circumference : float | None
+        Length of the circle; None for the other kinds.
     nodes, weights :
-        Quadrature rule on the cross section (None for spectrum-only input).
-        For the circle the nodes are angles in [0, L); for the sphere pairs
-        (polar, azimuth) flattened to arrays.
+        The circle's quadrature rule, angles in [0, L) and their weights;
+        None for the other kinds.
     """
 
     n: int
@@ -67,10 +67,8 @@ class CrossSection:
     exact_eigenvalues: Optional[list] = None
     geometry: str = "spectrum"
     circumference: Optional[float] = None
-    max_degree: Optional[int] = None
     nodes: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
-    _evaluator: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -96,55 +94,11 @@ class CrossSection:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def eigenvalue(self, j: int, exact: bool = False):
-        if not 0 <= j < self.n_modes:
-            raise IndexError(f"mode index {j} out of retained range [0, {self.n_modes})")
-        if exact:
-            if self.exact_eigenvalues is None:
-                raise ValueError("cross section carries no exact spectrum")
-            return self.exact_eigenvalues[j]
-        return self.eigenvalues[j]
-
     def area(self) -> float:
         """Total measure of the cross section under the quadrature rule."""
         if self.weights is None:
             raise ValueError("cross section has no quadrature rule")
         return float(np.sum(self.weights))
-
-    # -- eigenfunctions --------------------------------------------------
-
-    def evaluate(self, j: int, k: int, y):
-        """Value of the orthonormal eigenfunction e_{jk} at point(s) y."""
-        if not 0 <= j < self.n_modes:
-            raise IndexError(f"mode index {j} out of retained range [0, {self.n_modes})")
-        if not 0 <= k < self.multiplicities[j]:
-            raise IndexError(f"multiplicity index {k} out of range for mode {j}")
-        if self._evaluator is None:
-            raise ValueError(f"{self.geometry!r} cross section has no eigenfunction evaluator")
-        return self._evaluator(j, k, y)
-
-    def sample_eigenfunction(self, j: int, k: int) -> np.ndarray:
-        """Eigenfunction values at the quadrature nodes."""
-        if self.nodes is None:
-            raise ValueError("cross section has no quadrature rule")
-        return np.asarray(self.evaluate(j, k, self.nodes), dtype=float)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "geometry": self.geometry,
-            "n": self.n,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "multiplicities": [int(m) for m in self.multiplicities],
-        }
-        if self.circumference is not None:
-            out["circumference"] = float(self.circumference)
-        if self.max_degree is not None:
-            out["max_degree"] = int(self.max_degree)
-        if self.exact_eigenvalues is not None:
-            out["exact_eigenvalues"] = [str(v) for v in self.exact_eigenvalues]
-        return out
 
 
 # -- constructors --------------------------------------------------------
@@ -176,10 +130,6 @@ def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
     n_quad = 4 * max_mode + 8
     theta = np.arange(n_quad) * (L / n_quad)
     weights = np.full(n_quad, L / n_quad)
-
-    def evaluator(j, k, y):
-        return circle_basis(L, j, y)[..., 2 * j - 1 + k if j else 0]
-
     return CrossSection(
         n=1,
         eigenvalues=eigenvalues,
@@ -189,7 +139,6 @@ def make_circle(circumference: float, max_mode: int = 32) -> CrossSection:
         circumference=L,
         nodes=theta,
         weights=weights,
-        _evaluator=evaluator,
     )
 
 
@@ -199,7 +148,6 @@ def circle_basis(circumference: float, max_mode: int, y) -> np.ndarray:
     One column per channel, in the order (0, 0), (1, 0), (1, 1), (2, 0), ...:
     the constant 1/sqrt(L), then sqrt(2/L) cos(w_j y) and sqrt(2/L) sin(w_j y),
     w_j = 2 pi j / L, from one cos and one sin evaluation over angles x modes.
-    make_circle's evaluate(j, k, y) is column (j, k) of circle_basis(L, j, y).
     """
     L = float(circumference)
     y = np.asarray(y, dtype=float)
@@ -222,10 +170,8 @@ def _sphere_multiplicity(n: int, k: int) -> int:
 def make_sphere(n: int, max_degree: int = 8) -> CrossSection:
     """Round unit sphere S^n, n >= 2, harmonics up to `max_degree`.
 
-    Eigenvalues lam_k = -k (k + n - 1) are exact integers.  For n = 2 a real
-    orthonormal harmonic basis and a Gauss-Legendre (latitude) x uniform
-    (longitude) quadrature are attached; higher spheres are spectrum-only
-    (symbol-level work) and carry no evaluator.
+    Eigenvalues lam_k = -k (k + n - 1) are exact integers.  The sphere is
+    spectrum-only: it carries no basis and no quadrature rule.
     """
     if n < 2:
         raise ValueError("sphere cross section needs n >= 2 (use make_circle for n = 1)")
@@ -234,53 +180,12 @@ def make_sphere(n: int, max_degree: int = 8) -> CrossSection:
     eigenvalues = [float(-k * (k + n - 1)) for k in range(max_degree + 1)]
     exact = [Fraction(-k * (k + n - 1)) for k in range(max_degree + 1)]
     multiplicities = [_sphere_multiplicity(n, k) for k in range(max_degree + 1)]
-
-    nodes = weights = None
-    evaluator = None
-    if n == 2:
-        from scipy import special
-
-        n_lat = max_degree + 2
-        mu, w_mu = leggauss(n_lat)          # mu = cos(polar)
-        n_lon = 2 * max_degree + 3
-        lon = np.arange(n_lon) * (2.0 * math.pi / n_lon)
-        w_lon = 2.0 * math.pi / n_lon
-        polar = np.arccos(mu)
-        P, A = np.meshgrid(polar, lon, indexing="ij")
-        nodes = np.stack([P.ravel(), A.ravel()], axis=1)
-        weights = np.repeat(w_mu, n_lon) * w_lon
-
-        def evaluator(l, m_idx, y):
-            y = np.asarray(y, dtype=float)
-            pol, azi = y[..., 0], y[..., 1]
-            # real harmonics: m_idx 0 -> m=0; odd -> cos branch m=(m_idx+1)//2;
-            # even>0 -> sin branch m=m_idx//2
-            if m_idx == 0:
-                m = 0
-            elif m_idx % 2 == 1:
-                m = (m_idx + 1) // 2
-            else:
-                m = m_idx // 2
-            if hasattr(special, "sph_harm_y"):
-                Y = special.sph_harm_y(l, m, pol, azi)
-            else:
-                Y = special.sph_harm(m, l, azi, pol)
-            if m_idx == 0:
-                return np.real(Y)
-            if m_idx % 2 == 1:
-                return math.sqrt(2.0) * (-1.0) ** m * np.real(Y)
-            return math.sqrt(2.0) * (-1.0) ** m * np.imag(Y)
-
     return CrossSection(
         n=n,
         eigenvalues=eigenvalues,
         multiplicities=multiplicities,
         exact_eigenvalues=exact,
         geometry="sphere",
-        max_degree=max_degree,
-        nodes=nodes,
-        weights=weights,
-        _evaluator=evaluator,
     )
 
 
@@ -304,23 +209,3 @@ def from_spectrum(
         geometry="spectrum",
     )
 
-
-def project(cs: CrossSection, values: np.ndarray, j: int) -> np.ndarray:
-    """Quadrature projection of sampled data onto the eigenspace of mode j.
-
-    Parameters
-    ----------
-    values : array of samples at the quadrature nodes.
-    j : distinct-eigenvalue index.
-
-    Returns the coefficient vector (one entry per multiplicity branch).
-    """
-    if cs.weights is None:
-        raise ValueError("cross section has no quadrature rule")
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != cs.weights.shape[0]:
-        raise ValueError("sample count does not match quadrature rule")
-    out = np.empty(cs.multiplicities[j])
-    for k in range(cs.multiplicities[j]):
-        out[k] = float(np.sum(cs.weights * values * cs.sample_eigenfunction(j, k)))
-    return out

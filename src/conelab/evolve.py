@@ -455,7 +455,7 @@ def compatibility_check(u: FieldState, spec: ExtensionSpec,
     is above 1e-8; returns it otherwise.
     """
     gamma = u.gamma if u.gamma is not None else spec.gamma
-    norm = mellin_norm(u, 2, gamma, u.p)
+    norm = mellin_norm(u, 2, gamma)
     if not np.isfinite(norm):
         raise ValueError("initial data has no finite order-2 norm")
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
@@ -507,7 +507,7 @@ def _diagnostics_row(u: FieldState, step: int,
     # an overflow or invalid value here ends in a non-finite row, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         mass = mass_functional(u)
-        norm0, norm2 = mellin_norms(u, 2, spec.gamma, u.p)
+        norm0, norm2 = mellin_norms(u, 2, spec.gamma)
         evaluation = transform_plan(u.grid).synthesise(u.coeffs)
         values = evaluation[0]
         row = {

@@ -22,6 +22,11 @@ non-minimal strip; any disagreement with the expected direct-sum structure
 (addons confined to the shifted interval J plus the carried second-order
 addon) raises InconsistentDomainError instead of being patched.
 
+build_extension is the module's one constructor: it makes the selection,
+builds the fourth-order domain and derives the Robin exponents at the
+artificial tip boundary in one call, and returns them as one frozen
+ExtensionSpec.  No partly built spec exists.
+
 Exponent convention: an asymptotics function attached to a pole at rho is
 stored with exponent a = -rho, i.e. the function x^{-rho}.  The indicial
 polynomial satisfies Q_j(-rho) = P_j(rho), so pole locations and resonant
@@ -30,9 +35,9 @@ exponents are consistent mirror images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .cone_symbol import (
     MERGE_TOL,
@@ -53,9 +58,6 @@ __all__ = [
     "ExtensionSpec",
     "weight_window",
     "interval_I",
-    "select_extension",
-    "bilaplacian_domain",
-    "inner_boundary_conditions",
     "build_extension",
 ]
 
@@ -162,9 +164,6 @@ class DomainAddon:
     def has_log(self) -> bool:
         return any(t.log_power > 0 for t in self.terms)
 
-    def dim(self, cs: CrossSection) -> int:
-        return cs.multiplicities[self.mode]
-
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -181,13 +180,15 @@ class DomainAddon:
         }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExtensionSpec:
-    """Complete description of the chosen extension and its squared domain.
+    """The chosen extension of the Laplacian and the domain of its square.
 
-    Built in three stages: select_extension fills the second-order data,
-    bilaplacian_domain the fourth-order addons, inner_boundary_conditions the
-    per-mode Robin exponents.  Treated as immutable once complete.
+    build_extension is the one constructor and fills every field: the
+    weight window, the poles of I_gamma and the subspace chosen at each,
+    the second-order addons, the interval J and the fourth-order addons,
+    and inner_bc, the per-mode Robin exponent pairs (a_j, b_j).  Every
+    sequence is a tuple, so a spec does not change once built.
     """
 
     cs: CrossSection
@@ -195,12 +196,12 @@ class ExtensionSpec:
     p: float
     epsilon_bar: float
     window: tuple
-    i_gamma: list = field(default_factory=list)
-    selected: list = field(default_factory=list)
-    laplacian_addons: list = field(default_factory=list)
-    j_interval: Optional[tuple] = None
-    bilaplacian_addons: Optional[list] = None
-    inner_bc: Optional[list] = None
+    i_gamma: tuple
+    selected: tuple
+    laplacian_addons: tuple
+    j_interval: tuple
+    bilaplacian_addons: tuple
+    inner_bc: tuple
 
     @property
     def n(self) -> int:
@@ -208,10 +209,10 @@ class ExtensionSpec:
 
     def minimal_threshold(self, order: int) -> float:
         """Exponents strictly above this lie in the minimal domain."""
-        return self.gamma - 0.5 * (self.n + 1) + order
+        return _minimal_threshold(self.cs, self.gamma, order)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "gamma": self.gamma,
             "p": self.p,
             "n": self.n,
@@ -223,14 +224,37 @@ class ExtensionSpec:
                 for s in self.selected
             ],
             "second_order_addons": [a.to_json_dict() for a in self.laplacian_addons],
+            "J": list(self.j_interval),
+            "fourth_order_addons": [a.to_json_dict() for a in self.bilaplacian_addons],
+            "inner_bc": [{"mode": j, "a": a, "b": b} for j, (a, b) in enumerate(self.inner_bc)],
         }
-        if self.j_interval is not None:
-            out["J"] = list(self.j_interval)
-        if self.bilaplacian_addons is not None:
-            out["fourth_order_addons"] = [a.to_json_dict() for a in self.bilaplacian_addons]
-        if self.inner_bc is not None:
-            out["inner_bc"] = [{"mode": j, "a": a, "b": b} for j, (a, b) in enumerate(self.inner_bc)]
-        return out
+
+
+def _minimal_threshold(cs: CrossSection, gamma: float, order: int) -> float:
+    return gamma - 0.5 * (cs.n + 1) + order
+
+
+def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> ExtensionSpec:
+    """The extension for weight gamma and the domain of its square, built whole.
+
+    The weight must lie strictly inside the admissible window, and no pole
+    may sit on the lower line of I_gamma.
+    """
+    if p < 1:
+        raise ValueError("integrability exponent p must be >= 1")
+    i_gamma = tuple(interval_I(gamma, cs))              # collision check first
+    eb = _epsilon_bar(cs)
+    window = weight_window(cs.n, eb)
+    if not (window[0] < gamma < window[1]):
+        raise ValueError(
+            f"gamma = {gamma} outside the admissible weight window ({window[0]}, {window[1]})"
+        )
+    selected, laplacian_addons = _select_extension(gamma, cs, i_gamma)
+    gamma = float(gamma)
+    j_interval, bilaplacian_addons = _bilaplacian_domain(cs, gamma, laplacian_addons)
+    inner_bc = _inner_boundary_conditions(cs, gamma, laplacian_addons, bilaplacian_addons)
+    return ExtensionSpec(cs, gamma, float(p), eb, window, i_gamma, selected,
+                         laplacian_addons, j_interval, bilaplacian_addons, inner_bc)
 
 
 # -- second-order selection --------------------------------------------------
@@ -257,25 +281,15 @@ def default_weight(cs: CrossSection) -> float:
     return 0.5 * (lo + hi)
 
 
-def select_extension(gamma: float, p: float, cs: CrossSection) -> ExtensionSpec:
-    """Fix the extension of the Laplacian for weight gamma.
+def _select_extension(gamma: float, cs: CrossSection, i_gamma: tuple) -> tuple:
+    """The subspace chosen at each pole of I_gamma, and the second-order addons.
 
     The selection follows the duality rules: at a pair of dual poles inside
     I_gamma and I_{-gamma} the subspaces at q_j^- and q_j^+ are full and zero
     respectively (the order-2 pole at 0 of a two dimensional cone takes its
     self-dual log-free half), leftover poles take the full space when
-    gamma >= 0 and the zero space when gamma <= 0.  The weight must lie
-    strictly inside the admissible window.
+    gamma >= 0 and the zero space when gamma <= 0.
     """
-    if p < 1:
-        raise ValueError("integrability exponent p must be >= 1")
-    i_gamma = interval_I(gamma, cs)                     # collision check first
-    eb = _epsilon_bar(cs)
-    window = weight_window(cs.n, eb)
-    if not (window[0] < gamma < window[1]):
-        raise ValueError(
-            f"gamma = {gamma} outside the admissible weight window ({window[0]}, {window[1]})"
-        )
     i_dual = interval_I(-gamma, cs)
 
     def has_dual_partner(e):
@@ -306,35 +320,23 @@ def select_extension(gamma: float, p: float, cs: CrossSection) -> ExtensionSpec:
             addons.append(
                 DomainAddon((term,), e.mode, e.location, "second-order")
             )
-
-    spec = ExtensionSpec(
-        cs=cs,
-        gamma=float(gamma),
-        p=float(p),
-        epsilon_bar=eb,
-        window=window,
-        i_gamma=i_gamma,
-        selected=selected,
-        laplacian_addons=addons,
-    )
-    _check_duality(spec)
-    return spec
+    _check_duality(cs, selected)
+    return tuple(selected), tuple(addons)
 
 
-def _check_duality(spec: ExtensionSpec) -> None:
+def _check_duality(cs: CrossSection, selected: list) -> None:
     """Dimension bookkeeping of the pairing between choices at dual poles."""
-    by_key = {(s.entry.location, s.entry.mode): s for s in spec.selected}
-    n = spec.n
-    for s in spec.selected:
+    by_key = {(s.entry.location, s.entry.mode): s for s in selected}
+    for s in selected:
         if s.rule != "i":
             continue
-        m = spec.cs.multiplicities[s.entry.mode]
+        m = cs.multiplicities[s.entry.mode]
         if s.choice == "E_00":
             # self-dual half of an order-2 pole: dim + dim(complement) = 2m
-            if 2 * s.dim(spec.cs) != 2 * m:
+            if 2 * s.dim(cs) != 2 * m:
                 raise InconsistentDomainError("self-dual choice has wrong dimension")
             continue
-        dual_loc = (n - 1) - s.entry.location
+        dual_loc = (cs.n - 1) - s.entry.location
         dual = None
         for key, cand in by_key.items():
             if abs(key[0] - dual_loc) <= MERGE_TOL and key[1] == s.entry.mode:
@@ -342,7 +344,7 @@ def _check_duality(spec: ExtensionSpec) -> None:
                 break
         if dual is None:
             continue  # dual pole outside I_gamma; no constraint to verify
-        if s.dim(spec.cs) + dual.dim(spec.cs) != m:
+        if s.dim(cs) + dual.dim(cs) != m:
             raise InconsistentDomainError(
                 f"choices at dual poles {s.entry.location} / {dual_loc} are not complementary"
             )
@@ -351,8 +353,8 @@ def _check_duality(spec: ExtensionSpec) -> None:
 # -- membership of monomials in the chosen second-order domain ---------------
 
 
-def _addon_allows(spec: ExtensionSpec, a: Number, log_power: int, mode: int) -> bool:
-    for addon in spec.laplacian_addons:
+def _addon_allows(addons: tuple, a: Number, log_power: int, mode: int) -> bool:
+    for addon in addons:
         for t in addon.terms:
             if t.mode != mode or t.log_power != log_power:
                 continue
@@ -393,10 +395,11 @@ def _pole_exponent(entry: PoleEntry) -> Number:
     return -entry.exact if entry.exact is not None else -entry.location
 
 
-def _surviving_functions(spec: ExtensionSpec, entry: PoleEntry) -> list:
+def _surviving_functions(cs: CrossSection, entry: PoleEntry, laplacian_addons: tuple,
+                         tau2: float) -> list:
     """Monomial combinations at one fourth-order pole that pass the
-    composition test u in D(Lap), Lap u in D(Lap)."""
-    cs = spec.cs
+    composition test u in D(Lap), Lap u in D(Lap); tau2 is the
+    second-order minimal threshold."""
     a = _pole_exponent(entry)
     j = entry.mode
     exact = isinstance(a, Fraction) and cs.exact_eigenvalues is not None
@@ -408,17 +411,17 @@ def _surviving_functions(spec: ExtensionSpec, entry: PoleEntry) -> list:
     if entry.order < 2:
         constraints.append((0, 1))  # no log branch at a simple pole
     # u-membership: u = c0 x^a + c1 x^a log x
-    if not float(a) > spec.minimal_threshold(2):
-        if not _addon_allows(spec, a, 1, j):
+    if not float(a) > tau2:
+        if not _addon_allows(laplacian_addons, a, 1, j):
             constraints.append((0, 1))
-        if not _addon_allows(spec, a, 0, j):
+        if not _addon_allows(laplacian_addons, a, 0, j):
             constraints.append((1, 0))
     # image membership: Lap u = x^{a-2} [(c0 Q + c1 Q') + c1 Q log x]
     a2 = a - 2
-    if not float(a2) > spec.minimal_threshold(2):
-        if not _addon_allows(spec, a2, 1, j):
+    if not float(a2) > tau2:
+        if not _addon_allows(laplacian_addons, a2, 1, j):
             constraints.append((0, q))
-        if not _addon_allows(spec, a2, 0, j):
+        if not _addon_allows(laplacian_addons, a2, 0, j):
             constraints.append((q, dq))
     basis = _null_space_2(constraints)
 
@@ -454,8 +457,8 @@ def _symbolic_square_vanishes(terms: Sequence[AsymptoticTerm], cs: CrossSection)
     return all(_is_zero(v) for v in second.values())
 
 
-def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
-    """Fill in the domain of the squared operator.
+def _bilaplacian_domain(cs: CrossSection, gamma: float, laplacian_addons: tuple) -> tuple:
+    """The interval J and the addons of the squared operator's domain.
 
     Direct route: enumerate poles of the fourth-order symbol inside
     J = ((n+1)/2 - gamma - 4, (n+1)/2 - gamma - 2) and keep the monomial
@@ -469,17 +472,13 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
     contribute nothing (its asymptotics space is trivial for this extension);
     what may not happen is an addon appearing outside J.
     """
-    cs = spec.cs
     n = cs.n
-    j_lo = 0.5 * (n + 1) - spec.gamma - 4.0
-    j_hi = 0.5 * (n + 1) - spec.gamma - 2.0
-    spec.j_interval = (j_lo, j_hi)
-    strip_lo, strip_hi = j_lo, 0.5 * (n + 1) - spec.gamma
+    j_lo = 0.5 * (n + 1) - gamma - 4.0
+    j_hi = 0.5 * (n + 1) - gamma - 2.0
+    strip_lo, strip_hi = j_lo, 0.5 * (n + 1) - gamma
+    tau2 = _minimal_threshold(cs, gamma, 2)
 
-    carried = [
-        DomainAddon(a.terms, a.mode, a.source_location, "second-order")
-        for a in spec.laplacian_addons
-    ]
+    carried = list(laplacian_addons)
     for a in carried:
         if not _symbolic_square_vanishes(a.terms, cs):
             raise InconsistentDomainError(
@@ -490,7 +489,7 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
     direct = []
     survivors_outside = []
     for entry in bilaplacian_poles_in(cs, strip_lo, strip_hi):
-        funcs = _surviving_functions(spec, entry)
+        funcs = _surviving_functions(cs, entry, laplacian_addons, tau2)
         in_j = j_lo < entry.location < j_hi
         for terms in funcs:
             addon = DomainAddon(terms, entry.mode, entry.location, "fourth-order-interval")
@@ -511,17 +510,16 @@ def bilaplacian_domain(spec: ExtensionSpec) -> ExtensionSpec:
             raise InconsistentDomainError(
                 "fourth-order addon is not annihilated by the symbolic bilaplacian"
             )
-        if not float(addon.exponent) > spec.minimal_threshold(2) - 2.0:
+        if not float(addon.exponent) > tau2 - 2.0:
             raise InconsistentDomainError("fourth-order addon falls outside the base space")
 
     keys = [_function_key(a.terms) for a in carried + direct]
     if len(keys) != len(set(keys)):
         raise InconsistentDomainError("fourth-order addon list is not direct")
 
-    spec.bilaplacian_addons = carried + sorted(
+    return (j_lo, j_hi), tuple(carried + sorted(
         direct, key=lambda a: (a.mode, float(a.exponent))
-    )
-    return spec
+    ))
 
 
 # -- Robin encoding of the domain at the artificial tip boundary --------------
@@ -535,7 +533,8 @@ def _ladder_exponent(q_minus: float, threshold: float) -> float:
     return a
 
 
-def inner_boundary_conditions(spec: ExtensionSpec) -> list:
+def _inner_boundary_conditions(cs: CrossSection, gamma: float, laplacian_addons: tuple,
+                               bilaplacian_addons: tuple) -> tuple:
     """Per-mode Robin exponent pairs (a_j for u, b_j for Lap u) at x_min.
 
     a_j is the smallest fourth-order addon exponent of the mode when one
@@ -544,21 +543,17 @@ def inner_boundary_conditions(spec: ExtensionSpec) -> list:
     Laplacian itself), which is what the intermediate field of the composed
     fourth-order solve obeys.
     """
-    if spec.bilaplacian_addons is None:
-        raise ValueError("call bilaplacian_domain before inner_boundary_conditions")
-    cs = spec.cs
-    tau4 = spec.minimal_threshold(4)
-    tau2 = spec.minimal_threshold(2)
-    low4 = _lowest_exponents(spec.bilaplacian_addons)
-    low2 = _lowest_exponents(spec.laplacian_addons)
+    tau4 = _minimal_threshold(cs, gamma, 4)
+    tau2 = _minimal_threshold(cs, gamma, 2)
+    low4 = _lowest_exponents(bilaplacian_addons)
+    low2 = _lowest_exponents(laplacian_addons)
     pairs = []
     for j in range(cs.n_modes):
         q_minus = _q_minus(cs, j)
         a_j = low4[j] if j in low4 else _ladder_exponent(q_minus, tau4)
         b_j = low2[j] if j in low2 else _ladder_exponent(q_minus, tau2)
         pairs.append((a_j, b_j))
-    spec.inner_bc = pairs
-    return pairs
+    return tuple(pairs)
 
 
 def _lowest_exponents(addons: list) -> dict:
@@ -569,11 +564,3 @@ def _lowest_exponents(addons: list) -> dict:
         if a.mode not in lowest or e < lowest[a.mode]:
             lowest[a.mode] = e
     return lowest
-
-
-def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> ExtensionSpec:
-    """Convenience: run the three construction stages in order."""
-    spec = select_extension(gamma, p, cs)
-    bilaplacian_domain(spec)
-    inner_boundary_conditions(spec)
-    return spec

@@ -119,16 +119,11 @@ class ConeGrid:
         return self.channels.index((j, k))
 
     def synthesis_matrix(self) -> np.ndarray:
-        """Eigenfunction values at the cross-section quadrature nodes."""
+        """The circle's eigenfunctions at its quadrature nodes, one column per channel."""
         if self._synth is None:
-            if self.cs.nodes is None:
-                raise ValueError("cross-section carries no quadrature nodes")
-            y = np.asarray(self.cs.nodes)
-            if self.cs.geometry == "circle":
-                self._synth = circle_basis(self.cs.circumference, self.j_max, y)
-            else:
-                cols = [self.cs.evaluate(j, k, y) for j, k in self.channels]
-                self._synth = np.column_stack(cols)
+            if self.cs.geometry != "circle":
+                raise ValueError("only a circle cross-section carries a basis")
+            self._synth = circle_basis(self.cs.circumference, self.j_max, self.cs.nodes)
         return self._synth
 
     def radial_derivative(self, values: np.ndarray) -> np.ndarray:
@@ -184,10 +179,6 @@ class FieldState:
     @classmethod
     def zeros(cls, grid: ConeGrid, **kw) -> "FieldState":
         return cls(grid, np.zeros((grid.n_nodes, grid.n_channels)), **kw)
-
-    @property
-    def n(self) -> int:
-        return self.grid.cs.n
 
     def copy(self) -> "FieldState":
         return FieldState(self.grid, self.coeffs.copy(), time=self.time,
@@ -256,7 +247,7 @@ def _p_power_radial(grid: ConeGrid, w: np.ndarray, p: float,
 
 
 def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
-                p: float = 2.0) -> float:
+                p: Optional[float] = None) -> float:
     """Discrete weighted Sobolev norm of order k and weight gamma.
 
     Parameters
@@ -266,9 +257,10 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
         Derivative order, 0 through 4.
     gamma : float, optional
         Weight; falls back to the state's own metadata.
-    p : float
-        Integrability index; p = 2 integrates in coefficient space, any
-        other p >= 1 goes through cross-section quadrature.
+    p : float, optional
+        Integrability index; falls back to the state's own.  p = 2
+        integrates in coefficient space, any other p >= 1 goes through
+        cross-section quadrature.
 
     Returns
     -------
@@ -282,7 +274,7 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
 
 
 def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
-                 p: float = 2.0) -> Tuple[float, float]:
+                 p: Optional[float] = None) -> Tuple[float, float]:
     """The order-0 and order-k norms of mellin_norm, from one pass.
 
     The stack of every order starts with the order-0 term, so the
@@ -297,6 +289,8 @@ def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
         gamma = u.gamma
     if gamma is None:
         raise ValueError("no weight gamma given and the state carries none")
+    if p is None:
+        p = u.p
     if not 0 <= k <= 4:
         raise ValueError("derivative order k must lie in 0..4")
     if p < 1:

@@ -3,7 +3,7 @@ import pytest
 
 from conelab import (FieldState, FitOverflowError, ZeroModeError, cli,
                      fit_exponents, interior_smoothness_report, match_catalog,
-                     monomial_state, parse_config, select_extension)
+                     monomial_state, parse_config)
 
 
 def test_fit_recovers_pure_power(grid_tall):
@@ -96,12 +96,6 @@ def test_match_catalog_verdicts(spec8):
     allm = match_catalog(3.5, spec8)
     assert allm["admissible"] == [0.0, 1.0, 2.0, 2.5]
     assert allm["matched_exponent"] == 2.5 and allm["verdict"] == "fail"
-
-
-def test_match_catalog_needs_full_domain(cs8):
-    partial = select_extension(-0.5, 2.0, cs8)
-    with pytest.raises(ValueError):
-        match_catalog(1.0, partial)
 
 
 def test_interior_smoothness_smooth_vs_kinked(grid_tall):

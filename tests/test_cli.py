@@ -247,6 +247,27 @@ def test_norms_lab_asympt_outputs(tmp_path):
     assert len(rows) == cfg.j_max + 2
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_norms_csv_takes_the_runs_p(tmp_path, p):
+    # norms.csv and diagnostics.csv evaluate the order-0 and order-2 norms
+    # of the same states at the run's p, so their text agrees
+    cfg = parse_config(_write_cfg(tmp_path, p=p))
+    assert dispatch("simulate", cfg, str(tmp_path)) == 0
+    assert dispatch("norms", cfg, str(tmp_path)) == 0
+    diag = {}
+    for line in (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]:
+        row = line.split(",")
+        diag[row[1]] = {"0": row[5], "2": row[6]}
+    checked = 0
+    for line in (tmp_path / "norms.csv").read_text().splitlines()[1:]:
+        time, k, _, p_text, value = line.split(",")
+        assert float(p_text) == p
+        if k in ("0", "2"):
+            assert value == diag[time][k], (time, k)
+            checked += 1
+    assert checked == 2 * len(list((tmp_path / "snapshots").iterdir()))
+
+
 def test_sphere_commands_and_circle_guard(tmp_path):
     cfg = parse_config(_write_cfg(tmp_path, geometry="sphere", n=2))
     out = tmp_path / "o3"

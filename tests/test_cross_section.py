@@ -1,10 +1,10 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conelab import CrossSection, from_spectrum, make_circle, make_sphere, project
+from conelab import ConeGrid, CrossSection, from_spectrum, make_circle, make_sphere
+from conelab.cross_section import circle_basis
 
 
 def test_circle_spectrum_unit():
@@ -27,11 +27,8 @@ def test_circle_spectrum_general_length():
 
 def test_circle_orthonormality():
     cs = make_circle(2.0 * np.pi, max_mode=6)
-    cols = []
-    for j in range(cs.n_modes):
-        for k in range(cs.multiplicities[j]):
-            cols.append(cs.sample_eigenfunction(j, k))
-    S = np.column_stack(cols)
+    S = circle_basis(cs.circumference, 6, cs.nodes)
+    assert S.shape[1] == sum(cs.multiplicities)
     gram = S.T @ (cs.weights[:, None] * S)
     assert np.max(np.abs(gram - np.eye(S.shape[1]))) < 1e-12
 
@@ -39,16 +36,6 @@ def test_circle_orthonormality():
 def test_circle_area_is_circumference():
     for L in (2.0 * np.pi, 1.0, 5.3):
         assert make_circle(L, max_mode=2).area() == pytest.approx(L)
-
-
-def test_project_recovers_coefficients():
-    cs = make_circle(2.0 * np.pi, max_mode=4)
-    y = cs.nodes
-    vals = 0.7 * cs.evaluate(2, 0, y) - 1.3 * cs.evaluate(2, 1, y) + 0.2 * cs.evaluate(0, 0, y)
-    c2 = project(cs, vals, 2)
-    assert c2 == pytest.approx([0.7, -1.3], abs=1e-12)
-    assert project(cs, vals, 0) == pytest.approx([0.2], abs=1e-12)
-    assert project(cs, vals, 3) == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_sphere_spectrum_and_multiplicities():
@@ -61,25 +48,15 @@ def test_sphere_spectrum_and_multiplicities():
     assert cs3.multiplicities == [(k + 1) ** 2 for k in range(5)]
 
 
-def test_sphere_quadrature_orthonormality():
-    cs = make_sphere(2, max_degree=4)
-    cols = []
-    for j in range(cs.n_modes):
-        for k in range(cs.multiplicities[j]):
-            cols.append(cs.sample_eigenfunction(j, k))
-    S = np.column_stack(cols)
-    gram = S.T @ (cs.weights[:, None] * S)
-    assert np.max(np.abs(gram - np.eye(S.shape[1]))) < 1e-10
-    assert cs.area() == pytest.approx(4.0 * np.pi)
-
-
 def test_sphere_higher_dim_is_spectrum_only():
-    cs = make_sphere(4, max_degree=3)
-    assert cs.nodes is None
-    with pytest.raises(ValueError):
-        cs.area()
-    with pytest.raises(ValueError):
-        cs.evaluate(1, 0, np.zeros(3))
+    # every S^n, S^2 included, is spectrum-only
+    for n in (2, 4):
+        cs = make_sphere(n, max_degree=3)
+        assert cs.nodes is None and cs.weights is None
+        with pytest.raises(ValueError):
+            cs.area()
+        with pytest.raises(ValueError):
+            ConeGrid(cs, 3.0, 20).synthesis_matrix()
 
 
 def test_from_spectrum_and_validation():
@@ -92,13 +69,3 @@ def test_from_spectrum_and_validation():
         from_spectrum(2, [1.0, -1.0], [1, 1])            # lam_0 != 0
     with pytest.raises(ValueError):
         CrossSection(n=0, eigenvalues=[0.0], multiplicities=[1])
-
-
-def test_eigenvalue_accessor_bounds():
-    cs = make_circle(2.0 * np.pi, max_mode=3)
-    assert cs.eigenvalue(2) == -4.0
-    assert cs.eigenvalue(2, exact=True) == Fraction(-4)
-    with pytest.raises(IndexError):
-        cs.eigenvalue(4)
-    with pytest.raises(IndexError):
-        cs.evaluate(1, 2, cs.nodes)

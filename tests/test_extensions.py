@@ -1,13 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conelab import (EndpointCollisionError, InconsistentDomainError,
-                     admissible_window, bilaplacian_domain, build_extension,
-                     compute_poles, default_weight, from_spectrum,
-                     inner_boundary_conditions, interval_I, make_circle,
-                     make_sphere, select_extension, weight_window)
+                     admissible_window, build_extension, compute_poles,
+                     default_weight, from_spectrum, interval_I, make_circle,
+                     make_sphere, weight_window)
 
 
 def test_weight_window_closed_forms():
@@ -50,7 +50,7 @@ def test_interval_I_contents_and_collision():
 
 
 def test_selected_choices_at_default_weight(cs8):
-    spec = select_extension(-0.5, 2.0, cs8)
+    spec = build_extension(cs8, -0.5, 2.0)
     by_mode = {s.entry.mode: s for s in spec.selected}
     assert by_mode[0].choice == "E_00" and by_mode[0].rule == "i"
     assert by_mode[1].choice == "zero" and by_mode[1].rule == "i"
@@ -60,9 +60,9 @@ def test_selected_choices_at_default_weight(cs8):
 def test_gamma_outside_window_rejected(cs8):
     for g in (-1.5, 0.0, 0.3, -1.0):
         with pytest.raises(ValueError):
-            select_extension(g, 2.0, cs8)
+            build_extension(cs8, g, 2.0)
     with pytest.raises(ValueError):
-        select_extension(-0.5, 0.5, cs8)  # p < 1
+        build_extension(cs8, -0.5, 0.5)  # p < 1
 
 
 def test_bilaplacian_domain_default_weight(cs8):
@@ -99,22 +99,14 @@ def test_inner_bc_exponents_are_mode_indices(cs8):
         assert b == pytest.approx(float(j))
 
 
-def test_inner_bc_requires_fourth_order_stage(cs8):
-    spec = select_extension(-0.5, 2.0, cs8)
-    with pytest.raises(ValueError):
-        inner_boundary_conditions(spec)
-    bilaplacian_domain(spec)
-    pairs = inner_boundary_conditions(spec)
-    assert len(pairs) == cs8.n_modes
-
-
 def test_spectrum_only_cross_section_round_trip():
     cs = from_spectrum(3, [0.0, -3.0, -8.0], [1, 4, 9],
                        exact_eigenvalues=[0, -3, -8])
     spec = build_extension(cs, 0.5, 2.0)
     assert spec.window == (0.0, 1.0)
-    assert spec.bilaplacian_addons is not None
-    assert spec.inner_bc is not None
+    assert len(spec.inner_bc) == cs.n_modes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.inner_bc = ()
 
 
 def test_json_dict_is_serializable(cs8):
@@ -129,18 +121,17 @@ def test_json_dict_is_serializable(cs8):
 def test_reconciliation_guard_is_wired(cs8, monkeypatch):
     # force a fake survivor outside J and watch the cross-check fire
     import conelab.extensions as ext
-    spec = select_extension(-0.5, 2.0, cs8)
     real = ext._surviving_functions
 
-    def tampered(s, entry):
-        out = real(s, entry)
+    def tampered(cs, entry, *rest):
+        out = real(cs, entry, *rest)
         if entry.location > -0.5 and entry.mode == 3 and not out:
             return [(ext.AsymptoticTerm(-entry.location, 0, entry.mode, 1),)]
         return out
 
     monkeypatch.setattr(ext, "_surviving_functions", tampered)
     with pytest.raises(InconsistentDomainError):
-        bilaplacian_domain(spec)
+        build_extension(cs8, -0.5, 2.0)
 
 
 @pytest.mark.parametrize("j_max", [8, 128])
