@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -103,8 +102,6 @@ def _ser(obj) -> str:
         if not np.isfinite(x):
             return json.dumps(x if np.isnan(x) else None)
         return "%.17g" % x
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
     if obj is None:
         return "null"
     return json.dumps(obj)

@@ -252,9 +252,7 @@ def compute_bilaplacian_poles(cs: CrossSection) -> PoleCatalog:
     Per mode the poles are those of compute_poles(cs) and the same shifted
     by -2, merged where they coincide (see _bilaplacian_entries).
     """
-    catalog = compute_poles(cs)
-    entries = [e for j in range(cs.n_modes) for e in _bilaplacian_entries(catalog, j)]
-    return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
+    return bilaplacian_poles_in(cs, -math.inf, math.inf)
 
 
 def bilaplacian_poles_in(cs: CrossSection, lo: float, hi: float) -> PoleCatalog:

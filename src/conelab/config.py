@@ -9,7 +9,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .cross_section import make_circle
-from .extensions import admissible_window, build_extension, default_weight
+from .extensions import (EndpointCollisionError, admissible_window, build_extension,
+                         default_weight, interval_I)
 from .mellin import ConeGrid
 
 EQUATIONS = ("cahn-hilliard", "allen-cahn")
@@ -148,10 +149,16 @@ class Config(SimpleNamespace):
             errors.append("/delta_t: must divide t_max into >= 8 intervals")
         # only a given weight builds the cross-section
         if self.gamma is not None:
-            lo, hi = admissible_window(self.cross_section())
+            cs = self.cross_section()
+            lo, hi = admissible_window(cs)
             if not lo < self.gamma < hi:
                 errors.append(f"/gamma: {self.gamma} outside the admissible "
                               f"weight window ({lo:.6g}, {hi:.6g})")
+            else:
+                try:
+                    interval_I(self.gamma, cs)
+                except EndpointCollisionError as e:
+                    errors.append(f"/gamma: {e}")
         return errors
 
     def cross_section(self):

@@ -526,8 +526,7 @@ def _diagnostics_row(u: FieldState, step: int,
 
 
 def run(config: RunConfig, initial: Optional[FieldState] = None,
-        forcing=None, context=None, *,
-        diagnostics: bool = True) -> Tuple[List[FieldState], List[dict]]:
+        context=None, *, diagnostics: bool = True) -> Tuple[List[FieldState], List[dict]]:
     """March the configured flow; returns (snapshots, diagnostics rows).
 
     Snapshots are taken every snapshot_every steps plus the initial and
@@ -559,7 +558,7 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
     evaluation = record(u, 0) if diagnostics else None
     for step in range(1, config.n_steps + 1):
         try:
-            u = stepper.step(u, f=f, forcing=forcing, evaluation=evaluation)
+            u = stepper.step(u, f=f, evaluation=evaluation)
         except LinAlgError as e:
             raise LinAlgError(f"time step {step}: {e}") from e
         evaluation = record(u, step) if diagnostics else None

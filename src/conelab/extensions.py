@@ -8,10 +8,13 @@ conormal symbol inside the interval
 
 and a closed extension is fixed by choosing a subspace at each such pole.
 This module encodes the dissipativity-compatible choice used throughout the
-package: the constant functions at the pole 0 (for a two dimensional cone the
-log-free half of the order-2 pole there) and the zero subspace everywhere
-else, subject to the orthogonality pairing between the choices at dual poles
-q and (n-1) - q.
+package, one rule for every pole of I_gamma: the full space at q_j^-, the
+zero space at q_j^+, and at a double root (the pole 0 of a two dimensional
+cone) its self-dual log-free half E_00.  The choices at dual poles q and
+(n-1) - q are then complementary.  No pole of I_gamma lacks a dual partner:
+q -> (n-1) - q maps I_gamma onto I_{-gamma}, and it maps each root of P_j
+to the other one (q_j^+ + q_j^- = n - 1) and a double root to itself, so
+no further rule for unpaired poles is needed.
 
 The domain of the squared operator is built operationally from its
 composition definition: a candidate monomial u = x^{-rho} (log x)^l attached
@@ -84,42 +87,38 @@ def _is_zero(v: Number) -> bool:
 def weight_window(n: int, epsilon_bar: float) -> tuple:
     """Admissible weight interval for the dissipative extension.
 
-    epsilon_bar = -q_1^- is the gap to the first nonzero mode.  The window is
-    (-1, min(-1 + eb, 1)) for n = 1, (-1/2, min(-1/2 + eb, 3/2)) for n = 2 and
-    ((n-3)/2, min((n-3)/2 + eb, (n+1)/2)) for n >= 3.
+    epsilon_bar = -q_1^- is the gap to the first nonzero mode.  The window
+    is ((n-3)/2, min((n-3)/2 + eb, (n+1)/2)) for every n >= 1, e.g.
+    (-1, min(-1 + eb, 1)) for n = 1.
     """
     if n < 1:
         raise ValueError("cross-section dimension n must be >= 1")
     if not epsilon_bar > 0:
         raise ValueError("epsilon_bar must be positive")
-    if n == 1:
-        lo = -1.0
-        hi = min(-1.0 + epsilon_bar, 1.0)
-    elif n == 2:
-        lo = -0.5
-        hi = min(-0.5 + epsilon_bar, 1.5)
-    else:
-        lo = 0.5 * (n - 3)
-        hi = min(0.5 * (n - 3) + epsilon_bar, 0.5 * (n + 1))
-    return (lo, hi)
+    lo = 0.5 * (n - 3)
+    return (lo, min(lo + epsilon_bar, 0.5 * (n + 1)))
 
 
 def interval_I(gamma: float, cs: CrossSection) -> list:
     """Entries of compute_poles(cs) strictly inside ((n+1)/2-gamma-2, (n+1)/2-gamma).
 
-    Raises EndpointCollisionError when some pole sits within MERGE_TOL of the
-    lower endpoint (the minimal domain would then fail to be a plain weighted
-    Sobolev space).
+    Raises EndpointCollisionError, naming gamma, when some pole sits within
+    MERGE_TOL of either line of the interval.  On the lower line the
+    minimal domain would fail to be a plain weighted Sobolev space.  The
+    upper line is the image of the lower line of I_{-gamma} under
+    q -> (n-1) - q, which maps the poles onto themselves, so a pole on it
+    means its dual sits on the dual weight's lower line.
     """
     catalog = compute_poles(cs)
     lo = 0.5 * (cs.n + 1) - gamma - 2.0
     hi = 0.5 * (cs.n + 1) - gamma
-    for e in catalog:
-        if abs(e.location - lo) <= MERGE_TOL:
-            raise EndpointCollisionError(
-                f"pole at {e.location} (mode {e.mode}) collides with the weight line "
-                f"Re z = {lo} for gamma = {gamma}"
-            )
+    for line in (lo, hi):
+        for e in catalog:
+            if abs(e.location - line) <= MERGE_TOL:
+                raise EndpointCollisionError(
+                    f"pole at {e.location} (mode {e.mode}) collides with the weight line "
+                    f"Re z = {line} for gamma = {gamma}"
+                )
     return [e for e in catalog if lo < e.location < hi]
 
 
@@ -132,14 +131,6 @@ class SelectedPole:
 
     entry: PoleEntry
     choice: str  # "full" | "zero" | "E_00"
-    rule: str    # "i" | "ii" | "iii"
-
-    def dim(self, cs: CrossSection) -> int:
-        if self.choice == "zero":
-            return 0
-        if self.choice == "E_00":
-            return cs.multiplicities[self.entry.mode]
-        return cs.multiplicities[self.entry.mode] * self.entry.order
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,8 @@ class ExtensionSpec:
     weight window, the poles of I_gamma and the subspace chosen at each,
     the second-order addons, the interval J and the fourth-order addons,
     and inner_bc, the per-mode Robin exponent pairs (a_j, b_j).  Every
-    sequence is a tuple, so a spec does not change once built.
+    sequence is a tuple, so a spec does not change once built.  The JSON
+    form names the one selection rule, "i", at each selected pole.
     """
 
     cs: CrossSection
@@ -220,7 +212,7 @@ class ExtensionSpec:
             "window": list(self.window),
             "I_gamma": [e.to_json_dict() for e in self.i_gamma],
             "selected": [
-                {"pole": s.entry.to_json_dict(), "choice": s.choice, "rule": s.rule}
+                {"pole": s.entry.to_json_dict(), "choice": s.choice, "rule": "i"}
                 for s in self.selected
             ],
             "second_order_addons": [a.to_json_dict() for a in self.laplacian_addons],
@@ -238,7 +230,7 @@ def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> Extension
     """The extension for weight gamma and the domain of its square, built whole.
 
     The weight must lie strictly inside the admissible window, and no pole
-    may sit on the lower line of I_gamma.
+    may sit on either line of I_gamma.
     """
     if p < 1:
         raise ValueError("integrability exponent p must be >= 1")
@@ -249,7 +241,7 @@ def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> Extension
         raise ValueError(
             f"gamma = {gamma} outside the admissible weight window ({window[0]}, {window[1]})"
         )
-    selected, laplacian_addons = _select_extension(gamma, cs, i_gamma)
+    selected, laplacian_addons = _select_extension(cs, i_gamma)
     gamma = float(gamma)
     j_interval, bilaplacian_addons = _bilaplacian_domain(cs, gamma, laplacian_addons)
     inner_bc = _inner_boundary_conditions(cs, gamma, laplacian_addons, bilaplacian_addons)
@@ -281,73 +273,27 @@ def default_weight(cs: CrossSection) -> float:
     return 0.5 * (lo + hi)
 
 
-def _select_extension(gamma: float, cs: CrossSection, i_gamma: tuple) -> tuple:
+def _select_extension(cs: CrossSection, i_gamma: tuple) -> tuple:
     """The subspace chosen at each pole of I_gamma, and the second-order addons.
 
-    The selection follows the duality rules: at a pair of dual poles inside
-    I_gamma and I_{-gamma} the subspaces at q_j^- and q_j^+ are full and zero
-    respectively (the order-2 pole at 0 of a two dimensional cone takes its
-    self-dual log-free half), leftover poles take the full space when
-    gamma >= 0 and the zero space when gamma <= 0.
+    Full at q_j^-, zero at q_j^+, and the self-dual log-free half E_00 at
+    a double root (the order-2 pole at 0 of a two dimensional cone); each
+    non-zero choice adds the function x^{-rho} of its pole.
     """
-    i_dual = interval_I(-gamma, cs)
-
-    def has_dual_partner(e):
-        # the pairing couples q with (n-1) - q across the two intervals
-        target = (cs.n - 1) - e.location
-        return any(d.mode == e.mode and abs(d.location - target) <= MERGE_TOL
-                   for d in i_dual)
-
     selected = []
     addons = []
     for e in i_gamma:
-        if has_dual_partner(e):
-            rule = "i"
-            if e.order == 2:
-                # order-2 pole at 0 (n = 1 only): self-dual log-free half
-                choice = "E_00"
-            else:
-                q_minus = _q_minus(cs, e.mode)
-                choice = "full" if abs(e.location - q_minus) <= MERGE_TOL else "zero"
-        elif gamma >= 0:
-            rule, choice = "ii", "full"
+        if e.order == 2:
+            choice = "E_00"
+        elif abs(e.location - _q_minus(cs, e.mode)) <= MERGE_TOL:
+            choice = "full"
         else:
-            rule, choice = "iii", "zero"
-        selected.append(SelectedPole(e, choice, rule))
-        if choice in ("full", "E_00"):
-            exponent = -e.exact if e.exact is not None else -e.location
-            term = AsymptoticTerm(exponent, 0, e.mode, 1 if e.exact is not None else 1.0)
-            addons.append(
-                DomainAddon((term,), e.mode, e.location, "second-order")
-            )
-    _check_duality(cs, selected)
+            choice = "zero"
+        selected.append(SelectedPole(e, choice))
+        if choice != "zero":
+            term = AsymptoticTerm(_pole_exponent(e), 0, e.mode, 1 if e.exact is not None else 1.0)
+            addons.append(DomainAddon((term,), e.mode, e.location, "second-order"))
     return tuple(selected), tuple(addons)
-
-
-def _check_duality(cs: CrossSection, selected: list) -> None:
-    """Dimension bookkeeping of the pairing between choices at dual poles."""
-    by_key = {(s.entry.location, s.entry.mode): s for s in selected}
-    for s in selected:
-        if s.rule != "i":
-            continue
-        m = cs.multiplicities[s.entry.mode]
-        if s.choice == "E_00":
-            # self-dual half of an order-2 pole: dim + dim(complement) = 2m
-            if 2 * s.dim(cs) != 2 * m:
-                raise InconsistentDomainError("self-dual choice has wrong dimension")
-            continue
-        dual_loc = (cs.n - 1) - s.entry.location
-        dual = None
-        for key, cand in by_key.items():
-            if abs(key[0] - dual_loc) <= MERGE_TOL and key[1] == s.entry.mode:
-                dual = cand
-                break
-        if dual is None:
-            continue  # dual pole outside I_gamma; no constraint to verify
-        if s.dim(cs) + dual.dim(cs) != m:
-            raise InconsistentDomainError(
-                f"choices at dual poles {s.entry.location} / {dual_loc} are not complementary"
-            )
 
 
 # -- membership of monomials in the chosen second-order domain ---------------

@@ -319,6 +319,23 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_weight_on_a_pole_line_is_a_config_error(tmp_path, capsys):
+    # L = 5 pi / 2: gamma = -0.6 puts q_2^+ = 1.6 on the upper line of I_gamma
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"L": 7.853981633974483, "gamma": -0.6}))
+    message = r"^/gamma: pole at 1\.6\d* \(mode 2\) collides .* for gamma = -0\.6$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(given))
+    assert main(["poles", "--config", str(given), "--out", str(tmp_path / "o1")]) == 1
+    assert capsys.readouterr().err.startswith("config error:\n/gamma: pole at 1.6")
+    # the default weight -1/3 of L = 3 pi / 2 is met when the extension is built
+    default = tmp_path / "default.json"
+    default.write_text(json.dumps({"L": 4.71238898038469}))
+    assert main(["poles", "--config", str(default), "--out", str(tmp_path / "o2")]) == 0
+    assert main(["domain", "--config", str(default), "--out", str(tmp_path / "o2")]) == 1
+    assert capsys.readouterr().err.endswith("for gamma = -0.33333333333333337\n")
+
+
 @pytest.mark.parametrize("command", ["norms", "asympt"])
 def test_relaxational_overflow_is_a_numerical_failure(tmp_path, capsys, command):
     # with no diagnostics rows the step itself meets the overflowing cube

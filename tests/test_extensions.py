@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as strat
 
 from conelab import (EndpointCollisionError, InconsistentDomainError,
                      admissible_window, build_extension, compute_poles,
@@ -45,16 +47,64 @@ def test_interval_I_contents_and_collision():
     assert sorted((e.exact, e.mode) for e in inside) == [(Fraction(0), 0), (Fraction(1), 1)]
     assert all(e in compute_poles(cs) for e in inside)
     # pole at 0 sits exactly on the lower line for gamma = -1
-    with pytest.raises(EndpointCollisionError):
+    with pytest.raises(EndpointCollisionError, match=r"Re z = 0\.0 for gamma = -1\.0$"):
         interval_I(-1.0, cs)
+
+
+def test_default_weight_collision_names_the_weight():
+    # L = 3 pi / 2: the window is (-1, 1/3); its midpoint puts q_1^+ = 4/3
+    # on the upper line of I_gamma (no pole sits on the lower line -2/3),
+    # and the error names the weight in use
+    cs = make_circle(1.5 * np.pi, max_mode=8)
+    with pytest.raises(EndpointCollisionError, match=r"Re z = 1\.333\d* for gamma = -0\.333"):
+        build_extension(cs, default_weight(cs), 2.0)
 
 
 def test_selected_choices_at_default_weight(cs8):
     spec = build_extension(cs8, -0.5, 2.0)
-    by_mode = {s.entry.mode: s for s in spec.selected}
-    assert by_mode[0].choice == "E_00" and by_mode[0].rule == "i"
-    assert by_mode[1].choice == "zero" and by_mode[1].rule == "i"
+    by_mode = {s["pole"]["mode"]: s for s in spec.to_json_dict()["selected"]}
+    assert by_mode[0]["choice"] == "E_00" and by_mode[0]["rule"] == "i"
+    assert by_mode[1]["choice"] == "zero" and by_mode[1]["rule"] == "i"
     assert [(a.mode, float(a.exponent)) for a in spec.laplacian_addons] == [(0, 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=strat.floats(0.5, 20.0), j_max=strat.integers(1, 16),
+       position=strat.floats(0.01, 0.99))
+@example(L=2.0 * np.pi, j_max=8, position=0.5)      # exact roots, double root at 0
+@example(L=3.0, j_max=4, position=0.75)             # float roots, gamma > 0
+def test_one_selection_rule_pairs_every_pole(L, j_max, position):
+    cs = make_circle(L, max_mode=j_max)
+    lo, hi = admissible_window(cs)
+    gamma = lo + position * (hi - lo)
+    try:
+        spec = build_extension(cs, gamma, 2.0)
+    except EndpointCollisionError:
+        reject()
+    n = cs.n
+    dual_lo, dual_hi = 0.5 * (n + 1) + gamma - 2.0, 0.5 * (n + 1) + gamma
+    for s in spec.selected:
+        e = s.entry
+        roots = compute_poles(cs).for_mode(e.mode)
+        if e.order == 2:
+            assert s.choice == "E_00"
+        else:
+            assert s.choice == ("full" if e.location == min(r.location for r in roots)
+                                else "zero")
+        # the dual pole (n-1) - q is a pole of the same mode inside I_{-gamma}
+        dual = (n - 1) - e.location
+        assert dual_lo < dual < dual_hi
+        assert any(abs(r.location - dual) <= 1e-9 for r in roots)
+        # and, when it lies in I_gamma too, its choice is the complement
+        for t in spec.selected:
+            if t.entry.mode == e.mode and abs(t.entry.location - dual) <= 1e-9:
+                pair = {s.choice, t.choice}
+                assert pair == ({"E_00"} if t is s else {"full", "zero"})
+    assert all(s["rule"] == "i" for s in spec.to_json_dict()["selected"])
+    assert [(a.mode, a.source_location, float(a.exponent), len(a.terms), a.has_log)
+            for a in spec.laplacian_addons] == [
+        (s.entry.mode, s.entry.location, -s.entry.location, 1, False)
+        for s in spec.selected if s.choice != "zero"]
 
 
 def test_gamma_outside_window_rejected(cs8):

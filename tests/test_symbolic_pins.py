@@ -1,11 +1,12 @@
 """Byte pins of the symbolic layer: pole catalogs and extension domains.
 
-The sha256 of poles.json and domain.json for circle, half-circle and
-sphere configs, and of the same payloads for spectrum-only cross-sections
-whose discriminants are partly or wholly irrational, so that any change
-to the exact or float pole bookkeeping that moves an output byte fails
-here.  The digests were recorded from the Fraction-based bookkeeping that
-the integer one replaced.
+The sha256 of poles.json and domain.json for circle, half-circle,
+float-root circle and sphere configs, and of the same payloads for
+spectrum-only cross-sections whose discriminants are partly or wholly
+irrational, so that any change to the exact or float pole bookkeeping
+that moves an output byte fails here.  The digests were recorded from
+the Fraction-based bookkeeping that the integer one replaced; the two
+L = 3 pins from the three-rule pole selection that one rule replaced.
 """
 
 import hashlib
@@ -25,6 +26,14 @@ CLI_PINS = {
     "circle-128": ({"j_max": 128},
                    "58d4631c40ba6484be25786c65f513f6bb1967e0f04f0c8542718ef1062bc774",
                    "306d96e3cd04ff618c342f9e2c28772e887316cf7825f8c04bbef7bbf0b19293"),
+    # (2 pi / L)^2 is no integer: every root is a float; the double root
+    # at 0 takes E_00 at gamma = 0 (the default) and at gamma = 0.5
+    "L-3": ({"L": 3.0},
+            "1a9a506110390ae5a454134187872513fae143a05af11e28b8dca47d65fcc88d",
+            "b56e9f12668d9a559c41cd038f6a8e34944e7a185092b09e506eb94cd8b2a2d4"),
+    "L-3-gamma-0.5": ({"L": 3.0, "gamma": 0.5},
+                      "1a9a506110390ae5a454134187872513fae143a05af11e28b8dca47d65fcc88d",
+                      "f6e0c70c9294af961790467c823b88e055f9668c460d62aa6d8078988e972a41"),
     "half-circle": ({"L": math.pi},
                     "b0dca9c3d66f3400853bcff529f4375d09759c56fdc8e43f20787d646b891837",
                     "373aaffb8157a11b491123ec78799d4cad641bf4742f04e9aaa57c7cc4df201d"),
