@@ -86,7 +86,7 @@ def laplacian_suite(grid: ConeGrid, spec: ExtensionSpec) -> RadialOperator:
 
 def mode_slices(grid: ConeGrid) -> List[slice]:
     """Column range of each mode; channels are stored in mode order."""
-    bounds = np.searchsorted(grid.channel_modes, np.arange(grid.j_max + 2))
+    bounds = np.searchsorted(grid.channel_modes, np.arange(grid.j_max + 2)).tolist()
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 

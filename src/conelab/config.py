@@ -173,7 +173,7 @@ class Config(SimpleNamespace):
         return make_circle(self.circumference, max_mode=self.j_max)
 
     def extension(self):
-        """The extension spec; gamma = None takes the window's midpoint."""
+        """The extension spec; gamma = None takes extensions.default_weight."""
         cs = self.cross_section()
         gamma = self.gamma if self.gamma is not None else default_weight(cs)
         return build_extension(cs, gamma, self.p)

@@ -3,13 +3,13 @@
 The conserved flow solves u_t = -Lap^2 u - Lap(u - u^3) with the cubic
 split at the current state: the stiff linear part Lap^2 + Lap is
 implicit and the cubic transport div(3 u_n^2 grad u) is frozen at u_n,
-so a step is one set of mode-diagonal banded solves.  This is the
-linearly implicit scheme of Xu and Tang (SIAM J. Numer. Anal. 44, 2006)
-and Shen and Yang (DCDS 28, 2010), first order in dt.  picard_iters > 1
-refines it by Picard sweeps that take the coupling 3 u_n^2 grad u_{n+1}
-at the new state; a step whose last sweep is still above picard_tol
-raises PicardDivergenceError.  The relaxational flow solves
-u_t = Lap u + f(u) with f explicit.
+so a step is one banded solve per mode by numpy's OpenBLAS
+(banded_solve).  This is the linearly implicit scheme of Xu and Tang
+(SIAM J. Numer. Anal. 44, 2006) and Shen and Yang (DCDS 28, 2010),
+first order in dt.  picard_iters > 1 refines it by Picard sweeps that
+take the coupling 3 u_n^2 grad u_{n+1} at the new state; a step whose
+last sweep is still above picard_tol raises PicardDivergenceError.  The
+relaxational flow solves u_t = Lap u + f(u) with f explicit.
 
 Freezing the coupling moves the final state by O(dt) against the
 converged sweeps: 1.7e-6 relative at the CLI defaults and 2.7e-2 at
@@ -46,11 +46,11 @@ given nothing synthesises its state itself, so a run without
 diagnostics synthesises nothing after its last step.
 """
 
+import ctypes
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .assembly import (FieldOperator, RadialOperator, block_rows,
                        cubic_field, flux_divergence, laplacian_suite,
@@ -70,7 +70,7 @@ class RunConfig(Config):
 
     circumference is the CLI key L.  delta_t is the radial grid spacing
     (t_max / delta_t intervals); dt is the time step.  gamma = None
-    selects the midpoint of the admissible weight window.
+    selects extensions.default_weight.
     """
 
     FIELDS = {"circumference": "L", **{key: key for key in (
@@ -86,42 +86,79 @@ def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldStat
     return u.like(u.coeffs - cubic_field(u, values).coeffs)
 
 
-def banded_lu(ab: np.ndarray) -> tuple:
-    """LU factors of a square matrix held in LAPACK band storage.
+def _lapack(name: str, n_args: int, hidden: int = 0):
+    """LAPACK's name from numpy's ILP64 OpenBLAS (libscipy_openblas64_): every
+    argument is an address, integers are int64, TRANS's length trails hidden."""
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__)[f"scipy_{name}_64_"]
+    except AttributeError:
+        raise ImportError(f"numpy's OpenBLAS has no LAPACK {name} (scipy_{name}_64_); conelab "
+                          "needs the ILP64 OpenBLAS of numpy's PyPI wheels") from None
+    fn.argtypes, fn.restype = [ctypes.c_void_p] * n_args + [ctypes.c_size_t] * hidden, None
+    return fn
 
-    ab is (3 kl + 1, n) with entry (i, i + k) of the matrix at
-    ab[2 kl - k, i + k] and kl rows of fill-in space on top: the layout
-    of dgbtrf, which is solve_banded's bands below kl spare rows.
-    Tridiagonal matrices (kl = 1) go to dgttrf and wider ones to
-    dgbtrf: the factorizations inside the gtsv and gbsv drivers that
-    scipy.linalg.solve_banded uses, so banded_solve returns the same
-    bits as solve_banded on the same bands.  dgbtrf factors a
-    Fortran-contiguous float64 ab in place, and its factors are then a
-    view of ab; any other ab is copied first.
+
+_dgbtrf, _dgttrf = _lapack("dgbtrf", 8), _lapack("dgttrf", 7)
+_dgbtrs, _dgttrs = _lapack("dgbtrs", 11, 1), _lapack("dgttrs", 11, 1)
+
+
+def banded_lu(AB: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(LU, ipiv): LU factors of a stack of square matrices in LAPACK band storage.
+
+    Entry (i, i + k) of matrix j is AB[j, 2 kl - k, i + k], below kl rows
+    of fill-in: solve_banded's bands under kl spare rows.  dgttrf factors
+    kl = 1 with AB[j] C-ordered (dl, d and du in rows 3, 2 and 1, du2 at
+    the end of row 0), dgbtrf wider bands with AB[j] Fortran-ordered: the
+    factorizations of solve_banded's gtsv and gbsv, whose bits
+    banded_solve gives.  An AB in this layout is factored in place and
+    any other copied first; ipiv is int32.
     """
-    kl = (ab.shape[0] - 1) // 3
-    if kl == 1:
-        *factors, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
-    else:
-        *factors, info = lapack.dgbtrf(ab, kl, kl, overwrite_ab=1)
-    if info != 0:
-        raise LinAlgError(f"singular banded system (LAPACK info {info})")
-    return tuple(factors)
+    nm, ldab, n = AB.shape
+    order = (0, 1, 2) if ldab == 4 else (0, 2, 1)
+    LU = np.ascontiguousarray(AB.transpose(order), dtype=np.float64).transpose(order)
+    ipiv = np.empty((nm, n), np.int32)
+    piv, args = np.empty(n, np.int64), np.array([n, (ldab - 1) // 3, ldab, 0])
+    n_, kl_, ldab_, info = (args.ctypes.data + 8 * np.arange(4)).tolist()
+    p, a = piv.ctypes.data, LU.ctypes.data
+    for j in range(nm):
+        if ldab == 4:
+            _dgttrf(n_, a + 24 * n, a + 16 * n, a + 8 * n + 8, a + 16, p, info)
+        else:
+            _dgbtrf(n_, n_, kl_, kl_, a, ldab_, p, info)
+        if args[3]:
+            raise LinAlgError(f"singular banded system (LAPACK info {args[3]})")
+        ipiv[j] = piv
+        a += LU.strides[0]
+    return LU, ipiv
 
 
-def banded_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve with the factors from banded_lu; b holds one right-hand side per column.
+def banded_solve(factors: tuple, b: np.ndarray, blocks: List[slice]) -> np.ndarray:
+    """Solve with banded_lu's factors: matrix j against the columns blocks[j] of b.
 
-    A Fortran-contiguous float64 b is overwritten with the solution,
-    which is returned; any other b is copied first and left alone.
+    One dgbtrs or dgttrs call per matrix, its int32 pivots widened into
+    one int64 row; ctypes.data costs a microsecond, so each address is an
+    offset from one read per array.  A Fortran-contiguous float64 b is
+    solved in place and returned; any other b is copied first.
     """
-    if len(factors) == 2:
-        lu, ipiv = factors
-        kl = (lu.shape[0] - 1) // 3
-        x, _ = lapack.dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)
-    else:
-        x, _ = lapack.dgttrs(*factors, b, overwrite_b=1)
-    return x
+    LU, ipiv = factors
+    _, ldab, n = LU.shape
+    b = np.asfortranarray(b, dtype=np.float64)
+    if b.shape[0] != n or not all(0 <= c.start <= c.stop <= b.shape[1] for c in blocks):
+        raise ValueError(f"column blocks do not fit right-hand sides of shape {b.shape}")
+    piv, args = np.empty(n, np.int64), np.array([n, (ldab - 1) // 3, ldab, 0, 0])
+    n_, kl_, ldab_, nrhs, info = (args.ctypes.data + 8 * np.arange(5)).tolist()
+    p, a, x = piv.ctypes.data, LU.ctypes.data, b.ctypes.data
+    for j, cols in enumerate(blocks):
+        piv[:] = ipiv[j]
+        args[3] = cols.stop - cols.start
+        bj = x + 8 * n * cols.start     # the block's first column
+        if ldab == 4:
+            _dgttrs(b"N", n_, nrhs, a + 24 * n, a + 16 * n, a + 8 * n + 8, a + 16,
+                    p, bj, n_, info, 1)
+        else:
+            _dgbtrs(b"N", n_, kl_, kl_, nrhs, a, ldab_, p, bj, n_, info, 1)
+        a += LU.strides[0]
+    return b
 
 
 def implicit_bands(laps: RadialOperator, dt: float,
@@ -131,20 +168,19 @@ def implicit_bands(laps: RadialOperator, dt: float,
     Returns (AB, d): AB[j] is mode j's system I + dt (P^2 + P) with
     kl = 2 for order 4 and I - dt P with kl = 1 for order 2, rows 0 and
     N replaced by the constraint rows and row i scaled by d[j, i], in
-    banded_lu's layout: a Fortran-contiguous (3 kl + 1, N + 1) view of
-    one array, with entry (i, i + k) at AB[j, 2 kl - k, i + k] and zero
-    fill-in rows, which dgbtrf factors in place.  A few modes at a time
-    are built and scaled in a scratch that holds each band diagonal
-    contiguously and stays in cache, then copied into AB.  The
-    arithmetic is that of the sparse route, I + dt (P @ P + P) on the
-    CSR matrices: each entry of a row of P @ P sums P[r, jj] P[jj, :]
-    from +0.0 over jj = r - 1, r, r + 1 in that order, and an entry off
-    the diagonal is 0 + x.
+    banded_lu's layout with zero fill-in rows, which it factors in
+    place.  A few modes at a time are built and scaled in a scratch that
+    holds each band diagonal contiguously and stays in cache, then
+    copied into AB.  The arithmetic is that of the sparse route,
+    I + dt (P @ P + P) on the CSR matrices: each entry of a row of P @ P
+    sums P[r, jj] P[jj, :] from +0.0 over jj = r - 1, r, r + 1 in that
+    order, and an entry off the diagonal is 0 + x.
     """
     P = laps.vals
     nm, m, _ = P.shape
     kl = 2 if order == 4 else 1
-    AB = np.zeros((nm, m, 3 * kl + 1)).transpose(0, 2, 1)
+    AB = (np.zeros((nm, 3 * kl + 1, m)) if kl == 1
+          else np.zeros((nm, m, 3 * kl + 1)).transpose(0, 2, 1))
     d = np.empty((nm, m))
     tip = laps.tip_ratio(order)
     step = block_rows((2 * kl + 1) * m)
@@ -225,10 +261,10 @@ class Stepper:
     (assembly.RadialOperator), which FieldOperator applies to the whole
     field and implicit_bands turns into every mode's system, both in
     whole-array arithmetic.  The systems are one array in LAPACK band
-    storage, checked for finiteness once and factored here, each mode's
-    block in place: banded LU for the pentadiagonal conserved-flow
-    system, tridiagonal LU for the relaxational one (the LAPACK routines
-    solve_banded would call).  Row i of mode j's system is scaled by
+    storage, checked for finiteness once and factored by banded_lu, each
+    mode's block in place (dgbtrf for the conserved flow, dgttrf for the
+    relaxational one, from numpy's OpenBLAS), with int32 pivots in one
+    (modes, N + 1) array.  Row i of mode j's system is scaled by
     _row_scale[j, i], held per mode.
     """
 
@@ -250,16 +286,13 @@ class Stepper:
         order = 4 if equation == "cahn-hilliard" else 2
         modes = grid.channel_modes
         self.tip_ratio = laps.tip_ratio(order)[modes]
-        AB, d = implicit_bands(laps, self.dt, order)
+        AB, self._row_scale = implicit_bands(laps, self.dt, order)
         del laps                    # the stencil is not kept past the build
         bad = np.flatnonzero(~np.isfinite(AB).all(axis=(1, 2)))
         if bad.size:
             raise LinAlgError(f"implicit system of mode {bad[0]} is not finite")
         self._modes = mode_slices(grid)
-        # each mode's block of AB is factored in place
-        self._factors = [banded_lu(ab) for ab in AB]
-        del AB
-        self._row_scale = d
+        self._factors = banded_lu(AB)   # each mode's block of AB, in place
 
     def laplace(self, coeffs: np.ndarray) -> np.ndarray:
         return self.lap.apply(coeffs)
@@ -277,9 +310,7 @@ class Stepper:
             np.multiply(rhs.T[cols], d, out=b.T[cols])
         if not np.all(np.isfinite(b)):
             raise LinAlgError("right-hand side of the implicit solve is not finite")
-        for cols, factors in zip(self._modes, self._factors):
-            banded_solve(factors, b[:, cols])
-        return b
+        return banded_solve(self._factors, b, self._modes)
 
     def _constraint_rhs(self, rhs: np.ndarray, w: np.ndarray):
         rhs[0, :] = -(w[0, :] - w[1, :])

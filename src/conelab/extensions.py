@@ -268,8 +268,17 @@ def admissible_window(cs: CrossSection) -> tuple:
 
 
 def default_weight(cs: CrossSection) -> float:
-    """Midpoint of the admissible weight window; the run-time default."""
+    """The run-time default: the admissible window's midpoint, or where a pole
+    q sits on a line of I_gamma there (circles with L = (2k+1) pi / 2), the
+    midpoint of the widest (and lowest) piece of the window between the
+    weights (n+1)/2 - q and (n+1)/2 - q - 2 at which poles collide."""
     lo, hi = admissible_window(cs)
+    try:
+        interval_I(0.5 * (lo + hi), cs)
+    except EndpointCollisionError:
+        weights = [0.5 * (cs.n + 1) - e.location - s for e in compute_poles(cs) for s in (0, 2)]
+        cuts = sorted({lo, hi, *(w for w in weights if lo < w < hi)})
+        lo, hi = max(zip(cuts, cuts[1:]), key=lambda piece: piece[1] - piece[0])
     return 0.5 * (lo + hi)
 
 

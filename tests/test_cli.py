@@ -328,12 +328,20 @@ def test_weight_on_a_pole_line_is_a_config_error(tmp_path, capsys):
         parse_config(str(given))
     assert main(["poles", "--config", str(given), "--out", str(tmp_path / "o1")]) == 1
     assert capsys.readouterr().err.startswith("config error:\n/gamma: pole at 1.6")
-    # the default weight -1/3 of L = 3 pi / 2 is met when the extension is built
+    # the window's midpoint -1/3 of L = 3 pi / 2 is such a weight, but the
+    # default steps off it
     default = tmp_path / "default.json"
     default.write_text(json.dumps({"L": 4.71238898038469}))
-    assert main(["poles", "--config", str(default), "--out", str(tmp_path / "o2")]) == 0
-    assert main(["domain", "--config", str(default), "--out", str(tmp_path / "o2")]) == 1
-    assert capsys.readouterr().err.endswith("for gamma = -0.33333333333333337\n")
+    assert main(["domain", "--config", str(default), "--out", str(tmp_path / "o2")]) == 0
+    assert json.loads((tmp_path / "o2" / "domain.json").read_text())["gamma"] == -2 / 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_default_weight_off_a_pole_line_runs(tmp_path, k):
+    # L = (2k+1) pi / 2 with no gamma given: domain and a short simulate exit 0
+    path = _write_cfg(tmp_path, L=(2 * k + 1) * np.pi / 2, j_max=4, T=0.002)
+    for command in ("domain", "simulate"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
 
 
 @pytest.mark.parametrize("command", ["norms", "asympt"])

@@ -418,9 +418,13 @@ def test_picard_stall_raises(grid8, spec8):
     Stepper(spec8, grid8, 1e-3, "cahn-hilliard", 8, 1e-30).step(u0)
 
 
-def test_default_conserved_step_is_one_banded_solve(monkeypatch, grid8, spec8):
-    # the linearly implicit step: one flux_divergence, one solve per mode
-    calls = {"flux_divergence": 0, "banded_solve": 0}
+@pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
+def test_default_step_is_one_solve_per_mode(monkeypatch, grid8, spec8, equation):
+    # the linearly implicit step: one flux_divergence in the conserved
+    # flow, none in the relaxational one, and one LAPACK solve per mode,
+    # counted where banded_solve calls the binding
+    routine = "_dgbtrs" if equation == "cahn-hilliard" else "_dgttrs"
+    calls = {"flux_divergence": 0, routine: 0}
 
     def counted(name):
         fn = getattr(evolve, name)
@@ -431,10 +435,11 @@ def test_default_conserved_step_is_one_banded_solve(monkeypatch, grid8, spec8):
         monkeypatch.setattr(evolve, name, wrapper)
 
     counted("flux_divergence")
-    counted("banded_solve")
-    u0 = initial_state(RunConfig(**CFG), grid8, spec8)
-    Stepper(spec8, grid8, 1e-3).step(u0)
-    assert calls == {"flux_divergence": 1, "banded_solve": grid8.j_max + 1}
+    counted(routine)
+    u0 = initial_state(RunConfig(equation=equation, **CFG), grid8, spec8)
+    Stepper(spec8, grid8, 1e-3, equation).step(u0, f=double_well)
+    assert calls == {"flux_divergence": int(equation == "cahn-hilliard"),
+                     routine: grid8.j_max + 1}
 
 
 @pytest.mark.parametrize("diagnostics", [True, False])

@@ -56,8 +56,23 @@ def test_default_weight_collision_names_the_weight():
     # on the upper line of I_gamma (no pole sits on the lower line -2/3),
     # and the error names the weight in use
     cs = make_circle(1.5 * np.pi, max_mode=8)
+    lo, hi = admissible_window(cs)
     with pytest.raises(EndpointCollisionError, match=r"Re z = 1\.333\d* for gamma = -0\.333"):
-        build_extension(cs, default_weight(cs), 2.0)
+        build_extension(cs, 0.5 * (lo + hi), 2.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_default_weight_steps_off_a_pole_line(k):
+    # L = (2k+1) pi / 2 puts q_k^+ on the upper line at the window's
+    # midpoint; the default is then the midpoint of the widest piece of
+    # the window between the weights at which poles collide
+    cs = make_circle((2 * k + 1) * np.pi / 2, max_mode=8)
+    gamma = {1: -2 / 3, 2: -0.4, 3: -6 / 7, 4: -8 / 9}[k]
+    assert default_weight(cs) == pytest.approx(gamma, abs=1e-12)
+    build_extension(cs, default_weight(cs), 2.0)
+    for L in (2.0 * np.pi, 3.0, 7.0):           # no collision: the midpoint
+        cs = make_circle(L, max_mode=8)
+        assert default_weight(cs) == 0.5 * sum(admissible_window(cs))
 
 
 def test_selected_choices_at_default_weight(cs8):

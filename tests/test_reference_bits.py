@@ -117,8 +117,9 @@ def _mode_columns(grid, j):
 
 
 def _lapack_bands(ab, kl):
-    """banded_lu's band storage: solve_banded's bands below kl zero rows."""
-    return np.asfortranarray(np.vstack([np.zeros((kl, ab.shape[1])), ab]))
+    """A stack of one in banded_lu's band storage: solve_banded's bands below
+    kl zero rows, Fortran-ordered, which banded_lu copies for kl = 1."""
+    return np.asfortranarray(np.vstack([np.zeros((kl, ab.shape[1])), ab]))[np.newaxis]
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,7 @@ def _assert_stepper_matches_lil_bands(st, order):
     assert st.tip_ratio.tobytes() == np.exp(-exps * grid.dt).tobytes()
     for j, ((kl, _), ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
         want = banded_lu(_lapack_bands(ab, kl))
-        assert [f.tobytes() for f in st._factors[j]] == [f.tobytes() for f in want], j
+        assert [f[j].tobytes() for f in st._factors] == [f[0].tobytes() for f in want], j
         assert st._row_scale[j].tobytes() == d.tobytes(), j
 
 
@@ -234,7 +235,8 @@ def test_implicit_bands_match_lil_bands_with_zero_entries(order):
     grid, spec = _zero_entry_case()
     AB, d = implicit_bands(RadialOperator(grid, spec), 1e-3, order)
     for j, ((kl, _), ab, dj) in enumerate(_lil_bands(grid, spec, 1e-3, order)):
-        assert AB[j].flags.f_contiguous
+        # dgbtrf factors Fortran-ordered bands, dgttrf the rows of C-ordered ones
+        assert AB[j].flags.f_contiguous if kl == 2 else AB[j].flags.c_contiguous
         assert AB[j].tobytes() == _lapack_bands(ab, kl).tobytes()
         assert d[j].tobytes() == dj.tobytes()
 
@@ -257,11 +259,15 @@ def test_banded_lu_matches_solve_banded_and_rejects_singular(kl):
     for k in range(-kl, kl + 1):
         ab[kl - k, max(0, k):m + min(0, k)] = R[max(0, -k):m - max(0, k), kl + k]
     b = rng.normal(size=(m, 2))
-    got = banded_solve(banded_lu(_lapack_bands(ab, kl)), b)
+    got = banded_solve(banded_lu(_lapack_bands(ab, kl)), b, [slice(0, 2)])
     assert got.tobytes() == solve_banded((kl, kl), ab, b).tobytes()
     # dgbtrf factors a Fortran-ordered float64 band array in place
     lapack_ab = _lapack_bands(ab, kl)
     assert np.shares_memory(banded_lu(lapack_ab)[0], lapack_ab) == (kl == 2)
+    # right-hand sides the factors do not fit are refused before LAPACK reads them
+    for rhs, blocks in ((b[:-1], [slice(0, 2)]), (b, [slice(0, 3)]), (b, [slice(-1, 2)])):
+        with pytest.raises(ValueError, match="do not fit"):
+            banded_solve(banded_lu(_lapack_bands(ab, kl)), rhs, blocks)
     # zero every entry of column 3: the matrix is singular
     ab[:, 3] = 0.0
     with pytest.raises(LinAlgError):
