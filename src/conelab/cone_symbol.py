@@ -13,14 +13,16 @@ q_j^{+/-} - 2.  These pole locations are exactly the negatives of the
 admissible near-tip exponents: x^a is annihilated by the mode-j radial
 operator iff -a is a pole of 1/P_j.
 
-All bookkeeping is carried out in exact rational arithmetic whenever the
-cross section supplies an exact spectrum whose root discriminants are perfect
-squares (unit circle, round spheres); otherwise locations are floats and
-coincidence is decided with an absolute tolerance of 1e-9.  The exact
-arithmetic runs on integer numerators and denominators: a root is found
-with an integer square root, coincident roots are grouped by the root's
-reduced (numerator, denominator) pair, and each stored location becomes a
-Fraction once, in PoleEntry.exact.
+Exact rational arithmetic lives in the pole catalogs only.  It is used
+whenever the cross section supplies an exact spectrum whose root
+discriminants are perfect squares (unit circle, round spheres); otherwise
+locations are floats and coincidence is decided with an absolute tolerance
+of 1e-9.  The exact arithmetic runs on integer numerators and denominators:
+a root is found with an integer square root, coincident roots are grouped
+by the root's reduced (numerator, denominator) pair, and each stored
+location becomes a Fraction once, in PoleEntry.exact.  Every entry also
+carries its float location, and the action on asymptotic monomials
+(indicial_polynomial, symbolic_laplacian) runs in floats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +54,6 @@ __all__ = [
 
 MERGE_TOL = 1e-9
 
-Number = Union[int, float, Fraction]
-
 
 class PoleProximityError(ValueError):
     """Raised when a symbol is inverted too close to a catalog pole."""
@@ -61,15 +61,13 @@ class PoleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
-    """One monomial x^a log^l(x) tensored with an eigenfunction of mode j.
+    """One monomial c x^a log^l(x) tensored with an eigenfunction of mode j,
+    with a float exponent a and a float coefficient c."""
 
-    The coefficient may be a Fraction (exact channel) or a float.
-    """
-
-    exponent: Number
+    exponent: float
     log_power: int
     mode: int
-    coefficient: Number = 1
+    coefficient: float = 1.0
 
     def __post_init__(self):
         if self.log_power not in (0, 1):
@@ -104,15 +102,14 @@ class PoleEntry:
 
 @dataclass
 class PoleCatalog:
-    """Poles of 1/P_j (source "laplacian") or 1/(P_j(.+2) P_j) ("bilaplacian").
+    """Poles of 1/P_j (compute_poles) or of 1/(P_j(.+2) P_j)
+    (compute_bilaplacian_poles).
 
     entries is a tuple of frozen entries, indexed by mode when the catalog
     is built; for_mode reads that index.  Nothing in a catalog can be
     changed, so one catalog is shared by every caller.
     """
 
-    n: int
-    source: str
     entries: tuple = ()
 
     def __post_init__(self):
@@ -196,7 +193,7 @@ def compute_poles(cs: CrossSection) -> PoleCatalog:
     if catalog is None:
         entries = [PoleEntry(loc, order, j, "direct", exact)
                    for j in range(cs.n_modes) for loc, order, exact in _mode_roots(cs, j)]
-        catalog = PoleCatalog(n=cs.n, source="laplacian", entries=entries)
+        catalog = PoleCatalog(entries=entries)
         cs._pole_catalog = catalog
     return catalog
 
@@ -266,7 +263,7 @@ def bilaplacian_poles_in(cs: CrossSection, lo: float, hi: float) -> PoleCatalog:
                     if lo <= e.location < hi or lo <= e.location - 2.0 < hi})
     entries = [e for j in modes for e in _bilaplacian_entries(catalog, j)
                if lo <= e.location < hi]
-    return PoleCatalog(n=cs.n, source="bilaplacian", entries=entries)
+    return PoleCatalog(entries=entries)
 
 
 # -- symbol action on mode vectors ----------------------------------------
@@ -302,10 +299,10 @@ def invert_symbol(z: complex, coeffs: Sequence[complex], cs: CrossSection) -> np
     return coeffs / _symbol_values(z, cs)
 
 
-# -- exact action on asymptotic monomials ----------------------------------
+# -- action on asymptotic monomials ----------------------------------------
 
 
-def indicial_polynomial(a: Number, lam: Number, n: int) -> Number:
+def indicial_polynomial(a: float, lam: float, n: int) -> float:
     """Coefficient produced by the radial operator on x^a for eigenvalue lam.
 
     Delta(x^a e_j) = Q_j(a) x^{a-2} e_j with Q_j(a) = a^2 + (n-1) a + lam_j.
@@ -315,36 +312,24 @@ def indicial_polynomial(a: Number, lam: Number, n: int) -> Number:
     return a * a + (n - 1) * a + lam
 
 
-def _indicial_derivative(a: Number, n: int) -> Number:
+def _indicial_derivative(a: float, n: int) -> float:
     return 2 * a + (n - 1)
 
 
 def symbolic_laplacian(term: AsymptoticTerm, cs: CrossSection) -> list:
-    """Exact expansion of the Laplacian applied to one asymptotic monomial.
+    """The Laplacian applied to one asymptotic monomial, in floats.
 
-    Delta(x^a log^l x e_j) = x^{a-2} [Q_j(a) log^l x + l Q_j'(a) log^{l-1} x] e_j.
-    Terms with vanishing coefficient are dropped; the result can be empty
-    (the monomial is harmonic on the model cone).  Exact rational arithmetic
-    is used when the exponent, coefficient and eigenvalue are all rational.
+    Delta(x^a log^l x e_j) = x^{a-2} [Q_j(a) log^l x + l Q_j'(a) log^{l-1} x] e_j,
+    with the float eigenvalue lam_j.  Terms whose coefficient is exactly
+    zero are dropped; the result can be empty (the monomial is harmonic on
+    the model cone).  Callers decide vanishing up to MERGE_TOL.
     """
     j = term.mode
     if not 0 <= j < cs.n_modes:
         raise IndexError(f"mode index {j} out of retained range [0, {cs.n_modes})")
-    exact_ok = (
-        cs.exact_eigenvalues is not None
-        and isinstance(term.exponent, (int, Fraction))
-        and isinstance(term.coefficient, (int, Fraction))
-    )
-    if exact_ok:
-        lam = cs.exact_eigenvalues[j]
-        a = Fraction(term.exponent)
-        coeff = Fraction(term.coefficient)
-    else:
-        lam = cs.eigenvalues[j]
-        a = float(term.exponent)
-        coeff = float(term.coefficient)
-
-    q0 = indicial_polynomial(a, lam, cs.n)
+    a = float(term.exponent)
+    coeff = float(term.coefficient)
+    q0 = indicial_polynomial(a, cs.eigenvalues[j], cs.n)
     out = []
     main = coeff * q0
     if main != 0:

@@ -10,9 +10,9 @@ quadrature rule integrates products of the retained ones exactly (up to
 roundoff).  The sphere and a raw spectrum serve the symbol-level work.
 
 Eigenvalues are kept twice when possible: as floats, and as exact rationals
-(`fractions.Fraction`) whenever the construction yields them exactly.  The
-exact channel is what downstream pole bookkeeping uses to recognize
-coincident roots without tolerances.
+(`fractions.Fraction`) whenever the construction yields them exactly.  Only
+the pole catalogs of cone_symbol read the exact channel, to recognize
+coincident roots without tolerances; everything else reads the floats.
 """
 
 from __future__ import annotations

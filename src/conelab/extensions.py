@@ -19,7 +19,9 @@ no further rule for unpaired poles is needed.
 The domain of the squared operator is built operationally from its
 composition definition: a candidate monomial u = x^{-rho} (log x)^l attached
 to a pole rho of the fourth-order symbol belongs to the domain iff u lies in
-the chosen second-order domain and its symbolic Laplacian does too.  The
+the chosen second-order domain and its symbolic Laplacian does too.  This
+test runs in floats on every spectrum, deciding zero and equality within
+MERGE_TOL; exact rationals live in the pole catalogs only.  The
 result is cross-checked against an independent enumeration over the full
 non-minimal strip; any disagreement with the expected direct-sum structure
 (addons confined to the shifted interval J plus the carried second-order
@@ -39,8 +41,7 @@ exponents are consistent mirror images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cone_symbol import (
     MERGE_TOL,
@@ -64,9 +65,6 @@ __all__ = [
     "build_extension",
 ]
 
-Number = Union[int, float, Fraction]
-
-
 class EndpointCollisionError(ValueError):
     """A symbol pole sits on the boundary line of the weight interval."""
 
@@ -75,9 +73,7 @@ class InconsistentDomainError(RuntimeError):
     """Operational fourth-order domain disagrees with its direct-sum form."""
 
 
-def _is_zero(v: Number) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
+def _is_zero(v: float) -> bool:
     return abs(v) <= MERGE_TOL
 
 
@@ -148,7 +144,7 @@ class DomainAddon:
     origin: str  # "second-order" | "fourth-order-interval"
 
     @property
-    def exponent(self) -> Number:
+    def exponent(self) -> float:
         return self.terms[0].exponent
 
     @property
@@ -179,8 +175,7 @@ class ExtensionSpec:
     weight window, the poles of I_gamma and the subspace chosen at each,
     the second-order addons, the interval J and the fourth-order addons,
     and inner_bc, the per-mode Robin exponent pairs (a_j, b_j).  Every
-    sequence is a tuple, so a spec does not change once built.  The JSON
-    form names the one selection rule, "i", at each selected pole.
+    sequence is a tuple, so a spec does not change once built.
     """
 
     cs: CrossSection
@@ -212,7 +207,7 @@ class ExtensionSpec:
             "window": list(self.window),
             "I_gamma": [e.to_json_dict() for e in self.i_gamma],
             "selected": [
-                {"pole": s.entry.to_json_dict(), "choice": s.choice, "rule": "i"}
+                {"pole": s.entry.to_json_dict(), "choice": s.choice}
                 for s in self.selected
             ],
             "second_order_addons": [a.to_json_dict() for a in self.laplacian_addons],
@@ -287,7 +282,8 @@ def _select_extension(cs: CrossSection, i_gamma: tuple) -> tuple:
 
     Full at q_j^-, zero at q_j^+, and the self-dual log-free half E_00 at
     a double root (the order-2 pole at 0 of a two dimensional cone); each
-    non-zero choice adds the function x^{-rho} of its pole.
+    non-zero choice adds the function x^{-rho} of its pole.  Its exponent
+    is 0.0 - rho, so that the pole at 0 gives +0.0, never -0.0.
     """
     selected = []
     addons = []
@@ -300,7 +296,7 @@ def _select_extension(cs: CrossSection, i_gamma: tuple) -> tuple:
             choice = "zero"
         selected.append(SelectedPole(e, choice))
         if choice != "zero":
-            term = AsymptoticTerm(_pole_exponent(e), 0, e.mode, 1 if e.exact is not None else 1.0)
+            term = AsymptoticTerm(0.0 - e.location, 0, e.mode, 1.0)
             addons.append(DomainAddon((term,), e.mode, e.location, "second-order"))
     return tuple(selected), tuple(addons)
 
@@ -308,27 +304,20 @@ def _select_extension(cs: CrossSection, i_gamma: tuple) -> tuple:
 # -- membership of monomials in the chosen second-order domain ---------------
 
 
-def _addon_allows(addons: tuple, a: Number, log_power: int, mode: int) -> bool:
-    for addon in addons:
-        for t in addon.terms:
-            if t.mode != mode or t.log_power != log_power:
-                continue
-            if isinstance(t.exponent, Fraction) and isinstance(a, (int, Fraction)):
-                if Fraction(a) == t.exponent:
-                    return True
-            elif abs(float(t.exponent) - float(a)) <= MERGE_TOL:
-                return True
-    return False
+def _addon_allows(addons: tuple, a: float, log_power: int, mode: int) -> bool:
+    return any(t.mode == mode and t.log_power == log_power
+               and abs(t.exponent - a) <= MERGE_TOL
+               for addon in addons for t in addon.terms)
 
 
 # -- fourth-order domain ------------------------------------------------------
 
 
 def _null_space_2(constraints: list) -> list:
-    """Null space of up to rank-2 constraints on (c0, c1); exact when possible."""
+    """Null space of up to rank-2 constraints on (c0, c1)."""
     rows = [(a, b) for a, b in constraints if not (_is_zero(a) and _is_zero(b))]
     if not rows:
-        return [(1, 0), (0, 1)]
+        return [(1.0, 0.0), (0.0, 1.0)]
     a0, b0 = rows[0]
     for a1, b1 in rows[1:]:
         cross = a0 * b1 - a1 * b0
@@ -337,17 +326,7 @@ def _null_space_2(constraints: list) -> list:
     # rank one: null vector (-b0, a0), normalized to leading coefficient 1
     v = (-b0, a0)
     lead = v[0] if not _is_zero(v[0]) else v[1]
-    return [(_div(v[0], lead), _div(v[1], lead))]
-
-
-def _div(a: Number, b: Number) -> Number:
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a, 1) / Fraction(b, 1)
-    return float(a) / float(b)
-
-
-def _pole_exponent(entry: PoleEntry) -> Number:
-    return -entry.exact if entry.exact is not None else -entry.location
+    return [(v[0] / lead, v[1] / lead)]
 
 
 def _surviving_functions(cs: CrossSection, entry: PoleEntry, laplacian_addons: tuple,
@@ -355,25 +334,23 @@ def _surviving_functions(cs: CrossSection, entry: PoleEntry, laplacian_addons: t
     """Monomial combinations at one fourth-order pole that pass the
     composition test u in D(Lap), Lap u in D(Lap); tau2 is the
     second-order minimal threshold."""
-    a = _pole_exponent(entry)
+    a = 0.0 - entry.location        # +0.0 at the pole 0, as in _select_extension
     j = entry.mode
-    exact = isinstance(a, Fraction) and cs.exact_eigenvalues is not None
-    lam = cs.exact_eigenvalues[j] if exact else cs.eigenvalues[j]
-    q = indicial_polynomial(a, lam, cs.n)
+    q = indicial_polynomial(a, cs.eigenvalues[j], cs.n)
     dq = 2 * a + (cs.n - 1)
 
     constraints = []
     if entry.order < 2:
         constraints.append((0, 1))  # no log branch at a simple pole
     # u-membership: u = c0 x^a + c1 x^a log x
-    if not float(a) > tau2:
+    if not a > tau2:
         if not _addon_allows(laplacian_addons, a, 1, j):
             constraints.append((0, 1))
         if not _addon_allows(laplacian_addons, a, 0, j):
             constraints.append((1, 0))
     # image membership: Lap u = x^{a-2} [(c0 Q + c1 Q') + c1 Q log x]
     a2 = a - 2
-    if not float(a2) > tau2:
+    if not a2 > tau2:
         if not _addon_allows(laplacian_addons, a2, 1, j):
             constraints.append((0, q))
         if not _addon_allows(laplacian_addons, a2, 0, j):
@@ -394,21 +371,21 @@ def _surviving_functions(cs: CrossSection, entry: PoleEntry, laplacian_addons: t
 
 def _function_key(terms: tuple) -> tuple:
     return tuple(
-        (round(float(t.exponent), 9), t.log_power, t.mode, round(float(t.coefficient), 9))
+        (round(t.exponent, 9), t.log_power, t.mode, round(t.coefficient, 9))
         for t in terms
     )
 
 
 def _symbolic_square_vanishes(terms: Sequence[AsymptoticTerm], cs: CrossSection) -> bool:
-    """True when the symbolic bilaplacian of the combination cancels exactly."""
+    """True when the symbolic bilaplacian of the combination cancels, within MERGE_TOL."""
     first = []
     for t in terms:
         first.extend(symbolic_laplacian(t, cs))
     second = {}
     for t in first:
         for s in symbolic_laplacian(t, cs):
-            key = (float(s.exponent), s.log_power, s.mode)
-            second[key] = second.get(key, 0) + s.coefficient
+            key = (s.exponent, s.log_power, s.mode)
+            second[key] = second.get(key, 0.0) + s.coefficient
     return all(_is_zero(v) for v in second.values())
 
 
@@ -465,7 +442,7 @@ def _bilaplacian_domain(cs: CrossSection, gamma: float, laplacian_addons: tuple)
             raise InconsistentDomainError(
                 "fourth-order addon is not annihilated by the symbolic bilaplacian"
             )
-        if not float(addon.exponent) > tau2 - 2.0:
+        if not addon.exponent > tau2 - 2.0:
             raise InconsistentDomainError("fourth-order addon falls outside the base space")
 
     keys = [_function_key(a.terms) for a in carried + direct]
@@ -473,7 +450,7 @@ def _bilaplacian_domain(cs: CrossSection, gamma: float, laplacian_addons: tuple)
         raise InconsistentDomainError("fourth-order addon list is not direct")
 
     return (j_lo, j_hi), tuple(carried + sorted(
-        direct, key=lambda a: (a.mode, float(a.exponent))
+        direct, key=lambda a: (a.mode, a.exponent)
     ))
 
 
@@ -512,10 +489,9 @@ def _inner_boundary_conditions(cs: CrossSection, gamma: float, laplacian_addons:
 
 
 def _lowest_exponents(addons: list) -> dict:
-    """The smallest addon exponent, as a float, of each mode that has addons."""
+    """The smallest addon exponent of each mode that has addons."""
     lowest = {}
     for a in addons:
-        e = float(a.exponent)
-        if a.mode not in lowest or e < lowest[a.mode]:
-            lowest[a.mode] = e
+        if a.mode not in lowest or a.exponent < lowest[a.mode]:
+            lowest[a.mode] = a.exponent
     return lowest

@@ -98,27 +98,28 @@ def test_apply_symbol_is_indicial_mirror():
 
 def test_symbolic_laplacian_harmonic_monomials():
     cs = make_circle(2.0 * np.pi, max_mode=4)
-    # x^j and x^-j on mode j are annihilated exactly
+    # x^j and x^-j on mode j are annihilated: Q_j(+/-j) is 0.0 in floats
     for j in (1, 3):
         for a in (j, -j):
-            assert symbolic_laplacian(AsymptoticTerm(Fraction(a), 0, j), cs) == []
-    out = symbolic_laplacian(AsymptoticTerm(Fraction(1), 0, 0, Fraction(2)), cs)
+            assert symbolic_laplacian(AsymptoticTerm(float(a), 0, j), cs) == []
+    out = symbolic_laplacian(AsymptoticTerm(1.0, 0, 0, 2.0), cs)
     assert len(out) == 1
     t = out[0]
-    assert (t.exponent, t.log_power, t.mode, t.coefficient) == (Fraction(-1), 0, 0, Fraction(2))
+    assert (t.exponent, t.log_power, t.mode, t.coefficient) == (-1.0, 0, 0, 2.0)
+    assert type(t.exponent) is float and type(t.coefficient) is float
 
 
 def test_symbolic_laplacian_log_branch():
     cs = make_circle(2.0 * np.pi, max_mode=2)
-    # Lap(x^a log x e_j) = x^(a-2) (Q log x + Q'); exact rational output
-    a, j = Fraction(3), 1
+    # Lap(x^a log x e_j) = x^(a-2) (Q log x + Q'), in floats
+    a, j = 3.0, 1
     out = symbolic_laplacian(AsymptoticTerm(a, 1, j), cs)
     by_log = {t.log_power: t for t in out}
     assert by_log[1].coefficient == a * a - 1    # Q_1(3) = 9 - 1
     assert by_log[0].coefficient == 2 * a        # Q'(3) = 6 (n = 1)
     assert all(t.exponent == a - 2 for t in out)
     # resonant log monomial: log term dies, derivative term survives
-    out0 = symbolic_laplacian(AsymptoticTerm(Fraction(1), 1, 1), cs)
+    out0 = symbolic_laplacian(AsymptoticTerm(1.0, 1, 1), cs)
     assert len(out0) == 1 and out0[0].log_power == 0 and out0[0].coefficient == 2
 
 

@@ -10,6 +10,7 @@ from conelab import (EndpointCollisionError, InconsistentDomainError,
                      admissible_window, build_extension, compute_poles,
                      default_weight, from_spectrum, interval_I, make_circle,
                      make_sphere, weight_window)
+from conelab.cli import _ser
 
 
 def test_weight_window_closed_forms():
@@ -78,8 +79,8 @@ def test_default_weight_steps_off_a_pole_line(k):
 def test_selected_choices_at_default_weight(cs8):
     spec = build_extension(cs8, -0.5, 2.0)
     by_mode = {s["pole"]["mode"]: s for s in spec.to_json_dict()["selected"]}
-    assert by_mode[0]["choice"] == "E_00" and by_mode[0]["rule"] == "i"
-    assert by_mode[1]["choice"] == "zero" and by_mode[1]["rule"] == "i"
+    assert by_mode[0]["choice"] == "E_00"
+    assert by_mode[1]["choice"] == "zero"
     assert [(a.mode, float(a.exponent)) for a in spec.laplacian_addons] == [(0, 0.0)]
 
 
@@ -115,11 +116,50 @@ def test_one_selection_rule_pairs_every_pole(L, j_max, position):
             if t.entry.mode == e.mode and abs(t.entry.location - dual) <= 1e-9:
                 pair = {s.choice, t.choice}
                 assert pair == ({"E_00"} if t is s else {"full", "zero"})
-    assert all(s["rule"] == "i" for s in spec.to_json_dict()["selected"])
+    assert all(set(s) == {"pole", "choice"} for s in spec.to_json_dict()["selected"])
     assert [(a.mode, a.source_location, float(a.exponent), len(a.terms), a.has_log)
             for a in spec.laplacian_addons] == [
         (s.entry.mode, s.entry.location, -s.entry.location, 1, False)
         for s in spec.selected if s.choice != "zero"]
+
+
+def _without_exact(obj):
+    if isinstance(obj, dict):
+        return {k: _without_exact(v) for k, v in obj.items() if k != "exact"}
+    if isinstance(obj, list):
+        return [_without_exact(v) for v in obj]
+    return obj
+
+
+def _domain_text(cs, gamma):
+    """domain.json's text without the catalog's exact strings, or the error's name."""
+    try:
+        spec = build_extension(cs, gamma, 2.0)
+    except (EndpointCollisionError, InconsistentDomainError) as e:
+        return type(e).__name__
+    return _ser(_without_exact(spec.to_json_dict()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=strat.integers(1, 9), n=strat.sampled_from([1, 2, 3]),
+       position=strat.floats(0.01, 0.99))
+@example(b=1, n=1, position=0.5)                    # the unit circle's default weight
+@example(b=4, n=1, position=0.25)                   # the half circle
+@example(b=1, n=2, position=0.5)
+def test_one_domain_per_spectrum(b, n, position):
+    # an integer spectrum builds the same domain with and without its exact
+    # eigenvalues: the circle-like -b j^2 for n = 1, the sphere's for n = 2, 3
+    if n == 1:
+        exact = [-b * j * j for j in range(9)]
+        values, mult = [float(v) for v in exact], [1] + [2] * 8
+    else:
+        sphere = make_sphere(n, max_degree=6)
+        exact, values, mult = sphere.exact_eigenvalues, sphere.eigenvalues, sphere.multiplicities
+    with_exact = from_spectrum(n, values, mult, exact_eigenvalues=exact)
+    float_only = from_spectrum(n, values, mult)
+    lo, hi = admissible_window(with_exact)
+    gamma = lo + position * (hi - lo)
+    assert _domain_text(with_exact, gamma) == _domain_text(float_only, gamma)
 
 
 def test_gamma_outside_window_rejected(cs8):

@@ -4,9 +4,13 @@ The sha256 of poles.json and domain.json for circle, half-circle,
 float-root circle and sphere configs, and of the same payloads for
 spectrum-only cross-sections whose discriminants are partly or wholly
 irrational, so that any change to the exact or float pole bookkeeping
-that moves an output byte fails here.  The digests were recorded from
-the Fraction-based bookkeeping that the integer one replaced; the two
-L = 3 pins from the three-rule pole selection that one rule replaced.
+that moves an output byte fails here.  The poles digests were recorded
+from the Fraction-based bookkeeping that the integer one replaced.  The
+domain digests were recorded when the composition test became float-only
+and domain.json lost its constant "rule" field; against the payloads
+before, the only other change was -0.0 becoming 0.0 on float-root
+spectra (the exponent of the addon x^0 and the Robin exponents taken from
+it), checked for every config here.
 """
 
 import hashlib
@@ -22,27 +26,27 @@ from conelab.cli import CliConfig, _ser, dispatch
 CLI_PINS = {
     "circle-32": ({},
                   "79e44ccaeec3dcde0c639b92d04bdf8d0158f6651eee3863cb7bc545c8c33452",
-                  "33dd61d3293cb94a63d658de3fd094d046e44bf8a607b4cff408050e4cad4eac"),
+                  "a4c2d566465734f1909904dc46b5448e01bd9c341e88324e02681d5af4f1f523"),
     "circle-128": ({"j_max": 128},
                    "58d4631c40ba6484be25786c65f513f6bb1967e0f04f0c8542718ef1062bc774",
-                   "306d96e3cd04ff618c342f9e2c28772e887316cf7825f8c04bbef7bbf0b19293"),
+                   "e8b0c38222c170a69661111bb2aba0339686c32fce5337193a58b5c1826aad4f"),
     # (2 pi / L)^2 is no integer: every root is a float; the double root
     # at 0 takes E_00 at gamma = 0 (the default) and at gamma = 0.5
     "L-3": ({"L": 3.0},
             "1a9a506110390ae5a454134187872513fae143a05af11e28b8dca47d65fcc88d",
-            "b56e9f12668d9a559c41cd038f6a8e34944e7a185092b09e506eb94cd8b2a2d4"),
+            "ee7ed84aac97421c23ff5bd8c25e37bd2d624d7bf01a4036b444c50b8406e597"),
     "L-3-gamma-0.5": ({"L": 3.0, "gamma": 0.5},
                       "1a9a506110390ae5a454134187872513fae143a05af11e28b8dca47d65fcc88d",
-                      "f6e0c70c9294af961790467c823b88e055f9668c460d62aa6d8078988e972a41"),
+                      "60c7c1308bb9fa41567a3301ee5159af7a8cb03a09c9343285e74f9d8e8d9d47"),
     "half-circle": ({"L": math.pi},
                     "b0dca9c3d66f3400853bcff529f4375d09759c56fdc8e43f20787d646b891837",
-                    "373aaffb8157a11b491123ec78799d4cad641bf4742f04e9aaa57c7cc4df201d"),
+                    "7546adfaa7e27a3f8211411b3defc603f85704c4442109815ac8c5713c0f4d2e"),
     "gamma-0.25": ({"gamma": -0.25},
                    "79e44ccaeec3dcde0c639b92d04bdf8d0158f6651eee3863cb7bc545c8c33452",
-                   "fe1156e41f52b1fdab4f7fb31c73e080d98a63e8c88587993f601800905721ee"),
+                   "9c82352fb965dfbe825120eff659d7c8c9e7e2c628526a959a1bb4be3452c97e"),
     "sphere-6": ({"geometry": "sphere", "j_max": 6},
                  "55ab53714ee0f8bab31a68376ca6865a04ff64ec068eef10f17fdec4eab2335b",
-                 "8de40c5e3e7cdc8035c7863f016cf715fc8c40eafafa0b837eaecc08c6249ab6"),
+                 "a0fe653e3c07d952a3d4441d16ebd63778b10d8992ee4c80b685622ed12515b0"),
 }
 
 
@@ -67,16 +71,16 @@ SPECTRA = {
     "mixed": (lambda: from_spectrum(3, [0.0, -3.0, -5.0, -6.0, -8.0], [1, 4, 3, 2, 9],
                                     exact_eigenvalues=[0, -3, -5, -6, -8]), 0.5,
               "848bc84f7a9734b2f2ce01e0f8fc3a0f39f3ef66bbac74d2c6f49c837d88f99b",
-              "d27d7ef4b3d546e54f0ca850a448cd78e10d9b4b174c24e88baaa17de9d4a3f6"),
+              "3c145d0b6a3529b77cd3859242718893ca3c764085280c5a88b5332642036867"),
     "rational": (lambda: from_spectrum(3, [0.0, -1.25, -3.0, -5.25], [1, 2, 4, 2],
                                        exact_eigenvalues=[0, Fraction(-5, 4), -3,
                                                           Fraction(-21, 4)]),
                  None,
                  "d7517b474321afe94061b36f76c64d84bf3b3b0d8c548f3940633b7724c4f007",
-                 "ecdbce295f55d517ee8837ea107fef21c3e881fcf8f99a1c4fe1024c14573356"),
+                 "a2296342dd858013eba1481dfe8fed203f14301542319a127be7fd5b1529ee86"),
     "float-only": (lambda: from_spectrum(1, [0.0, -2.0, -5.0], [1, 2, 2]), None,
                    "971d6adf228b373436d061ccf324e919388fd72a4ba9bae3ac0feac0bdc1f45a",
-                   "0995795b40cab3b9ac9f8649531f3b8a778f132c5e61715c0be54ff7ce8f1fc9"),
+                   "6f859cbd72297e600ee6f20267de054ee8145d64bcad43359fe55b68c31b445a"),
 }
 
 
