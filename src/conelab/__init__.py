@@ -77,7 +77,6 @@ from .assembly import (
 )
 from .evolve import (
     PicardDivergenceError,
-    RunConfig,
     Stepper,
     compatibility_check,
     double_well,
@@ -105,6 +104,7 @@ from .asymptotics import (
     interior_smoothness_report,
     match_catalog,
 )
-from .cli import CliConfig, ConfigError, dispatch, main, parse_config
+from .config import Config, ConfigError
+from .cli import dispatch, main, parse_config
 
 __version__ = "0.1.0"

@@ -2,13 +2,13 @@
 
 One flat JSON config drives every subcommand.  Its keys, with their
 defaults and checks, are the table config.KEYS; parse_config reads a
-file against it, and CliConfig.to_run_config passes the simulation keys
-on to evolve.RunConfig.  All emitted files are deterministic for a fixed
-config (the simulation seed is part of the config): CSV with '.'
+file against it into a config.Config, which the simulating subcommands
+pass to evolve.run as it is.  All emitted files are deterministic for a
+fixed config (the simulation seed is part of the config): CSV with '.'
 decimals, '\\n' line endings, a header row, and floats printed with 17
 significant digits; JSON rendered by a fixed serializer with the same
-float format.  Exit codes: 0 on success, 1 for a bad config, 2 for a
-numerical failure.
+float format.  Exit codes: 0 on success, 1 for a bad config or an
+output directory that cannot be written, 2 for a numerical failure.
 """
 
 import argparse
@@ -22,36 +22,14 @@ from numpy.linalg import LinAlgError
 
 from .asymptotics import ZeroModeError, fit_exponents, match_catalog
 from .cone_symbol import compute_bilaplacian_poles, compute_poles
-from .config import KEYS, Config, ConfigError
-from .cross_section import make_circle, make_sphere
-from .evolve import PicardDivergenceError, RunConfig, run
+from .config import Config, ConfigError
+from .evolve import PicardDivergenceError, run
 from .extensions import InconsistentDomainError
 from .mellin import ConeGrid, mellin_norm
 from .spectral_lab import lab_report
 
 
-class CliConfig(Config):
-    """Fully defaulted, validated configuration (the parse-time echo)."""
-
-    FIELDS = {key: key for key in KEYS}
-
-    def coupled_errors(self) -> list:
-        errors = super().coupled_errors()
-        if self.lab_mode > self.j_max:
-            errors.append("/lab_mode: must not exceed j_max")
-        return errors
-
-    def make_cross_section(self):
-        if self.geometry == "circle":
-            return make_circle(self.L, max_mode=self.j_max)
-        return make_sphere(self.n, max_degree=self.j_max)
-
-    def to_run_config(self) -> RunConfig:
-        return RunConfig(**{name: getattr(self, key)
-                            for name, key in RunConfig.FIELDS.items()})
-
-
-def parse_config(path: Optional[str]) -> CliConfig:
+def parse_config(path: Optional[str]) -> Config:
     """Load, default, and validate a flat JSON config.
 
     Raises ConfigError listing every violation as /key: message.
@@ -71,7 +49,7 @@ def parse_config(path: Optional[str]) -> CliConfig:
             raise ConfigError(f"/: config is not valid JSON ({e})")
         if not isinstance(data, dict):
             raise ConfigError("/: config must be a JSON object")
-    return CliConfig(**data)
+    return Config(**data)
 
 
 def _fmt(v) -> str:
@@ -119,7 +97,7 @@ def _write_csv(path: str, header, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _cmd_poles(cfg: CliConfig, out: str) -> int:
+def _cmd_poles(cfg: Config, out: str) -> int:
     cs = cfg.cross_section()
     payload = {
         "geometry": cfg.geometry,
@@ -133,15 +111,15 @@ def _cmd_poles(cfg: CliConfig, out: str) -> int:
     return 0
 
 
-def _cmd_domain(cfg: CliConfig, out: str) -> int:
+def _cmd_domain(cfg: Config, out: str) -> int:
     payload = {"geometry": cfg.geometry}
     payload.update(cfg.extension().to_json_dict())
     _write_text(os.path.join(out, "domain.json"), _ser(payload) + "\n")
     return 0
 
 
-def _cmd_simulate(cfg: CliConfig, out: str) -> int:
-    snaps, diag = run(cfg.to_run_config())
+def _cmd_simulate(cfg: Config, out: str) -> int:
+    snaps, diag = run(cfg)
     header = ("step", "time", "mass", "energy", "supnorm", "norm0", "norm2")
     rows = [[d[k] for k in header] for d in diag]
     _write_csv(os.path.join(out, "diagnostics.csv"), header, rows)
@@ -186,8 +164,8 @@ def _snapshot_text(snap, template: Optional[str] = None) -> str:
     return "# " + _ser(meta) + "\nt_node,mode,branch,coefficient\n" + rows
 
 
-def _cmd_norms(cfg: CliConfig, out: str) -> int:
-    snaps, _ = run(cfg.to_run_config(), diagnostics=False)
+def _cmd_norms(cfg: Config, out: str) -> int:
+    snaps, _ = run(cfg, diagnostics=False)
     rows = []
     for snap in snaps:
         for k in range(cfg.norms_k_max + 1):
@@ -198,7 +176,7 @@ def _cmd_norms(cfg: CliConfig, out: str) -> int:
     return 0
 
 
-def _cmd_lab(cfg: CliConfig, out: str) -> int:
+def _cmd_lab(cfg: Config, out: str) -> int:
     spec = cfg.extension()
     grid = ConeGrid(spec.cs, cfg.lab_t_max, cfg.lab_n_radial, j_max=max(cfg.lab_mode, 1))
     report = lab_report(grid, spec, mode=cfg.lab_mode, shift=cfg.lab_shift,
@@ -212,9 +190,9 @@ def _cmd_lab(cfg: CliConfig, out: str) -> int:
     return 0
 
 
-def _cmd_asympt(cfg: CliConfig, out: str) -> int:
+def _cmd_asympt(cfg: Config, out: str) -> int:
     spec, grid = cfg.context()
-    snaps, _ = run(cfg.to_run_config(), context=(spec, grid), diagnostics=False)
+    snaps, _ = run(cfg, context=(spec, grid), diagnostics=False)
     final = snaps[-1]
     rows = []
     for j in range(final.grid.j_max + 1):
@@ -246,10 +224,10 @@ _COMMANDS = {
 _CIRCLE_ONLY = ("norms", "simulate", "lab", "asympt")
 
 
-def dispatch(command: str, cfg: CliConfig, out: str = ".") -> int:
-    """Run one subcommand; 0 on success, 1 validation, 2 numerical."""
-    os.makedirs(out, exist_ok=True)
+def dispatch(command: str, cfg: Config, out: str = ".") -> int:
+    """Run one subcommand; 0 on success, 1 validation or output, 2 numerical."""
     try:
+        os.makedirs(out, exist_ok=True)
         if command in _CIRCLE_ONLY and cfg.geometry != "circle":
             raise ConfigError(f"/geometry: '{command}' runs on circle "
                               "cross-sections only")
@@ -257,7 +235,7 @@ def dispatch(command: str, cfg: CliConfig, out: str = ".") -> int:
     except (PicardDivergenceError, InconsistentDomainError, LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:     # OSError: out cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -65,18 +65,9 @@ class PicardDivergenceError(RuntimeError):
     """The Picard sweeps ended above picard_tol; the time step is too large."""
 
 
-class RunConfig(Config):
-    """Flat description of one simulation: the keys of config.KEYS in FIELDS.
+# the name the benchmark's workloads construct a configuration by
+RunConfig = Config
 
-    circumference is the CLI key L.  delta_t is the radial grid spacing
-    (t_max / delta_t intervals); dt is the time step.  gamma = None
-    selects extensions.default_weight.
-    """
-
-    FIELDS = {"circumference": "L", **{key: key for key in (
-        "j_max", "t_max", "delta_t", "gamma", "p", "equation", "dt", "T",
-        "picard_iters", "picard_tol", "seed", "ic_kind", "ic_amplitude",
-        "ic_modes", "ic_value", "snapshot_every")}}
 
 def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
     """f(u) = u - u^3 through the dealiased transform.
@@ -265,7 +256,8 @@ class Stepper:
     mode's block in place (dgbtrf for the conserved flow, dgttrf for the
     relaxational one, from numpy's OpenBLAS), with int32 pivots in one
     (modes, N + 1) array.  Row i of mode j's system is scaled by
-    _row_scale[j, i], held per mode.
+    2 ** _row_scale[j, i], held per mode as int16 exponents: they reach
+    -183 at t_max = 30, delta_t = 0.1, where int8 would wrap.
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
@@ -286,11 +278,13 @@ class Stepper:
         order = 4 if equation == "cahn-hilliard" else 2
         modes = grid.channel_modes
         self.tip_ratio = laps.tip_ratio(order)[modes]
-        AB, self._row_scale = implicit_bands(laps, self.dt, order)
+        AB, d = implicit_bands(laps, self.dt, order)
         del laps                    # the stencil is not kept past the build
         bad = np.flatnonzero(~np.isfinite(AB).all(axis=(1, 2)))
         if bad.size:
             raise LinAlgError(f"implicit system of mode {bad[0]} is not finite")
+        # a finite system has finite power-of-two scales, so the cast is exact
+        self._row_scale = (np.frexp(d)[1] - 1).astype(np.int16)
         self._modes = mode_slices(grid)
         self._factors = banded_lu(AB)   # each mode's block of AB, in place
 
@@ -306,8 +300,8 @@ class Stepper:
         """
         b = np.empty(rhs.shape, order="F")
         # a mode's columns of b are rows of b.T, one contiguous block
-        for cols, d in zip(self._modes, self._row_scale):
-            np.multiply(rhs.T[cols], d, out=b.T[cols])
+        for cols, e in zip(self._modes, self._row_scale):
+            np.ldexp(rhs.T[cols], e, out=b.T[cols])
         if not np.all(np.isfinite(b)):
             raise LinAlgError("right-hand side of the implicit solve is not finite")
         return banded_solve(self._factors, b, self._modes)
@@ -507,7 +501,7 @@ def _bump_envelope(t: np.ndarray, lo: float = 1.0, hi: float = 3.0) -> np.ndarra
     return out
 
 
-def initial_state(config: RunConfig, grid: ConeGrid,
+def initial_state(config: Config, grid: ConeGrid,
                   spec: ExtensionSpec) -> FieldState:
     """Seeded interior-bump data (or zero / constant), tip-compatible."""
     gamma = spec.gamma
@@ -556,7 +550,7 @@ def _diagnostics_row(u: FieldState, step: int,
     return row, evaluation
 
 
-def run(config: RunConfig, initial: Optional[FieldState] = None,
+def run(config: Config, initial: Optional[FieldState] = None,
         context=None, *, diagnostics: bool = True) -> Tuple[List[FieldState], List[dict]]:
     """March the configured flow; returns (snapshots, diagnostics rows).
 
@@ -565,8 +559,12 @@ def run(config: RunConfig, initial: Optional[FieldState] = None,
     order-2 weighted norms) are recorded every step unless diagnostics
     is False, in which case the row list is empty.  context, when
     given, is a prebuilt (spec, grid) pair, config.context() otherwise;
-    an initial state must live on that grid.
+    an initial state must live on that grid.  The flows step on circle
+    cross-sections only, whose angular transform the step uses.
     """
+    if config.geometry != "circle":
+        raise ValueError("evolve.run steps on circle cross-sections only, "
+                         f"not on geometry {config.geometry!r}")
     spec, grid = context or config.context()
     u = initial if initial is not None else initial_state(config, grid, spec)
     if u.grid is not grid:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conelab import (ConeGrid, FieldState, RunConfig, Stepper,
+from conelab import (ConeGrid, Config, FieldState, Stepper,
                      build_extension, constant_state, cubic_field,
                      default_weight, double_well, fit_exponents,
                      interior_smoothness_report, lab_report, laplacian_suite,
@@ -128,8 +128,8 @@ def test_criterion_5_splitting_identity(capsys):
 
 
 def test_criterion_6_conservation_dissipation_fixed_points(capsys):
-    cfg = RunConfig(j_max=8, t_max=3.0, delta_t=0.02, T=0.05, dt=1e-3,
-                    seed=7, ic_amplitude=0.03)
+    cfg = Config(j_max=8, t_max=3.0, delta_t=0.02, T=0.05, dt=1e-3,
+                 seed=7, ic_amplitude=0.03)
     _, diags = run(cfg)
     mass = np.array([d["mass"] for d in diags])
     energy = np.array([d["energy"] for d in diags])
@@ -236,8 +236,8 @@ def test_criterion_9_perturbation_conditions(cs, spec, capsys):
 
 
 def test_criterion_10_asymptotics_confinement(capsys):
-    cfg = RunConfig(j_max=8, t_max=10.0, delta_t=0.02, T=0.05, dt=1e-3,
-                    seed=7, ic_amplitude=0.03)
+    cfg = Config(j_max=8, t_max=10.0, delta_t=0.02, T=0.05, dt=1e-3,
+                 seed=7, ic_amplitude=0.03)
     snaps, _ = run(cfg)
     final = snaps[-1]
     fit = fit_exponents(final, 0)

@@ -12,7 +12,7 @@ must build the context that Config.context() and Stepper build.
 import importlib.util
 import os
 
-from conelab import RunConfig, Stepper, evolve, run
+from conelab import Config, Stepper, evolve, run
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -35,7 +35,7 @@ def _assert_traced_run_fires_every_layer_span(j_max: int):
     undo = tracing.instrument(tracer)
     tracer.enabled = True
     try:
-        run(RunConfig(j_max=j_max, t_max=3.0, delta_t=0.05, T=0.002))
+        run(Config(j_max=j_max, t_max=3.0, delta_t=0.05, T=0.002))
     finally:
         tracer.enabled = False
         undo()
@@ -74,7 +74,7 @@ def test_bench_setup_builds_the_program_context(tmp_path, monkeypatch):
     tracer = _bench_module("tracing").NullTracer()
     for name in workloads.NAMES:
         wl = workloads.make(name, str(tmp_path))
-        config = wl.cfg.to_run_config() if name == "cli-defaults" else wl.config
+        config = wl.cfg if name == "cli-defaults" else wl.config
         bench_spec, bench_grid, bench_stepper = wl.setup(tracer)
         spec, grid = config.context()
         stepper = Stepper(spec, grid, config.dt, config.equation,

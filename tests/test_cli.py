@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conelab import RunConfig
-from conelab.cli import CliConfig, ConfigError, dispatch, main, parse_config
+from conelab import Config, config, evolve
+from conelab.cli import ConfigError, dispatch, main, parse_config
 
 FAST = {"t_max": 3.0, "j_max": 8, "T": 0.02}
 
@@ -24,7 +24,7 @@ def test_parse_config_defaults():
     assert cfg.gamma is None and cfg.p == 2.0
     assert cfg.lab_mu == (10.0, 100.0, 1000.0)
     assert cfg.geometry == "circle" and cfg.j_max == 32
-    assert isinstance(cfg, CliConfig)
+    assert isinstance(cfg, Config)
 
 
 # the CLI contract: every key with its default, and one bad value per key
@@ -129,13 +129,18 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 
 
 def test_schema_matches_library_defaults():
-    assert parse_config(None).to_run_config() == RunConfig()
+    assert vars(parse_config(None)) == vars(Config()) == config.DEFAULTS
 
 
-def test_schema_serves_the_benchmark_calls():
+def test_schema_serves_the_benchmark_calls(tmp_path):
+    # bench/workloads.py constructs evolve.RunConfig and reads circumference
+    # and to_run_config(); the three names are the one Config
+    assert evolve.RunConfig is Config
+    cfg = parse_config(_write_cfg(tmp_path, gamma=-0.25))
+    assert cfg.to_run_config() is cfg
     cfg = parse_config(None)
     assert (cfg.equation, cfg.L, cfg.fit_tol) == ("cahn-hilliard", 2.0 * np.pi, 0.05)
-    run_cfg = RunConfig(seed=7, j_max=128, delta_t=0.01, T=0.01)
+    run_cfg = evolve.RunConfig(seed=7, j_max=128, delta_t=0.01, T=0.01)
     assert (run_cfg.circumference, run_cfg.gamma, run_cfg.p) == (2.0 * np.pi, None, 2.0)
     assert (run_cfg.n_radial, run_cfg.n_steps) == (1200, 10)
     assert (run_cfg.picard_iters, run_cfg.picard_tol) == (1, 1e-10)
@@ -178,7 +183,7 @@ def test_parse_config_coupled_checks(tmp_path):
     assert parse_config(_write_cfg(tmp_path, dt=0.0025, T=0.05)).dt == 0.0025
     with pytest.raises(ConfigError, match="/delta_t"):
         parse_config(_write_cfg(tmp_path, delta_t=0.7))
-    # quotients that overflow to inf divide nothing, in both config forms
+    # quotients that overflow to inf divide nothing, from a file or keywords
     for overflow, message in (({"t_max": 1e308, "delta_t": 1e-10},
                                "/delta_t: must divide t_max into >= 8 intervals"),
                               ({"T": 1e300, "dt": 1e-300},
@@ -186,7 +191,7 @@ def test_parse_config_coupled_checks(tmp_path):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(_write_cfg(tmp_path, **overflow))
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            RunConfig(**overflow)
+            Config(**overflow)
     with pytest.raises(ConfigError, match="/: config must be a JSON object"):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
@@ -377,3 +382,34 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
         parse_config(path)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"config error:\n/{key}: expected a finite number\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "norms", "asympt"])
+def test_an_invocation_builds_its_circle_once(tmp_path, monkeypatch, command):
+    # the parsed config is the run's config, so a given weight's check and
+    # the run share one cross-section
+    calls = []
+    make_circle = config.make_circle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_circle(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("conelab")
+                and getattr(module, "make_circle", None) is make_circle):
+            monkeypatch.setattr(module, "make_circle", counted)
+    path = _write_cfg(tmp_path, gamma=-0.25)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_an_unwritable_output_directory_is_an_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    for out in (taken, taken / "below"):
+        assert main(["poles", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(taken) in err
+        assert "Traceback" not in err and err.count("\n") == 1
+    assert taken.read_text() == "a file, not a directory"

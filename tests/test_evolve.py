@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from conelab import (ConeGrid, ConfigError, FieldState, PicardDivergenceError,
-                     RunConfig, Stepper, TransformPlan, assembly,
+from conelab import (ConeGrid, Config, ConfigError, FieldState, PicardDivergenceError,
+                     Stepper, TransformPlan, assembly,
                      build_extension, compatibility_check, cone_symbol, constant_state,
                      default_weight, double_well, energy_functional, evolve,
                      initial_state, make_circle, mass_functional,
@@ -20,32 +20,32 @@ CFG = dict(j_max=8, t_max=3.0, delta_t=0.02)
 
 
 def test_run_config_validation():
-    cfg = RunConfig(**CFG)
+    cfg = Config(**CFG)
     assert cfg.n_radial == 150
-    assert RunConfig(T=0.05, dt=1e-3).n_steps == 50
+    assert Config(T=0.05, dt=1e-3).n_steps == 50
     with pytest.raises(ValueError):
-        RunConfig(delta_t=0.7).n_radial
+        Config(delta_t=0.7).n_radial
     with pytest.raises(ValueError):
-        RunConfig(T=0.05, dt=3e-4).n_steps
+        Config(T=0.05, dt=3e-4).n_steps
     with pytest.raises(ValueError):
         Stepper(None, None, 1e-3, equation="ginzburg-landau")
 
 
 def test_run_config_reports_schema_errors():
-    # the CLI's /key: messages, under RunConfig's own field names
+    # the CLI's /key: messages; circumference is no key, L is
     for kwargs, message in (
             ({"dt": 0.0}, "/dt: expected a positive number"),
-            ({"circumference": -1.0}, "/circumference: expected a positive number"),
-            ({"L": 1.0}, "/L: unknown key"),
+            ({"L": -1.0}, "/L: expected a positive number"),
+            ({"circumference": 1.0}, "/circumference: unknown key"),
             ({"j_max": 2.0, "ic_kind": "plume"},
              "/ic_kind: expected 'bump', 'zero', or 'constant'\n"
              "/j_max: expected an integer"),
             ({"dt": 0.5}, "/dt: must be smaller than the horizon T"),
             ({"gamma": 0.5}, "/gamma: 0.5 outside the admissible weight window (-1, 0)")):
         with pytest.raises(ConfigError) as exc:
-            RunConfig(**kwargs)
+            Config(**kwargs)
         assert str(exc.value) == message
-    assert RunConfig(gamma=-0.25).gamma == -0.25
+    assert Config(gamma=-0.25).gamma == -0.25
 
 
 def test_double_well_on_constants(grid8):
@@ -91,7 +91,7 @@ def test_relaxational_flow_fixes_well_bottoms(grid_name, spec_name, request):
 def test_stepped_state_is_c_contiguous(grid8, spec8, equation, picard_iters):
     # the solve leaves the increment in Fortran order; an F-ordered state
     # would change the bits of the products and reductions over it
-    u = initial_state(RunConfig(**CFG), grid8, spec8)
+    u = initial_state(Config(**CFG), grid8, spec8)
     st = Stepper(spec8, grid8, 1e-3, equation, picard_iters)
     f = double_well if equation == "allen-cahn" else None
     for _ in range(2):
@@ -116,12 +116,12 @@ def test_relaxational_constant_matches_scalar_euler(grid8, spec8):
 
 
 def test_initial_state_kinds(grid8, spec8):
-    zero = initial_state(RunConfig(ic_kind="zero", **CFG), grid8, spec8)
+    zero = initial_state(Config(ic_kind="zero", **CFG), grid8, spec8)
     assert np.all(zero.coeffs == 0.0)
-    const = initial_state(RunConfig(ic_kind="constant", ic_value=0.4, **CFG),
+    const = initial_state(Config(ic_kind="constant", ic_value=0.4, **CFG),
                           grid8, spec8)
     assert const.physical_values() == pytest.approx(0.4, abs=1e-14)
-    cfg = RunConfig(ic_kind="bump", ic_modes=3, seed=11, **CFG)
+    cfg = Config(ic_kind="bump", ic_modes=3, seed=11, **CFG)
     bump = initial_state(cfg, grid8, spec8)
     again = initial_state(cfg, grid8, spec8)
     assert np.array_equal(bump.coeffs, again.coeffs)
@@ -130,7 +130,7 @@ def test_initial_state_kinds(grid8, spec8):
     high = [c for c, (j, _) in enumerate(grid8.channels) if j > 3]
     assert np.max(np.abs(bump.coeffs[:, high])) == 0.0
     with pytest.raises(ValueError):
-        initial_state(RunConfig(ic_kind="plume", **CFG), grid8, spec8)
+        initial_state(Config(ic_kind="plume", **CFG), grid8, spec8)
 
 
 def test_mass_and_energy_oracles(grid8):
@@ -144,7 +144,7 @@ def test_mass_and_energy_oracles(grid8):
 
 
 def test_compatibility_check(grid8, spec8):
-    u = initial_state(RunConfig(**CFG), grid8, spec8)
+    u = initial_state(Config(**CFG), grid8, spec8)
     ratio = Stepper(spec8, grid8, 1e-3).tip_ratio
     assert compatibility_check(u, spec8, ratio) < 1e-8
     bad = u.copy()
@@ -154,7 +154,7 @@ def test_compatibility_check(grid8, spec8):
 
 
 def test_conserved_run_mass_energy(cs8):
-    cfg = RunConfig(T=0.01, dt=1e-3, seed=7, ic_amplitude=0.03, **CFG)
+    cfg = Config(T=0.01, dt=1e-3, seed=7, ic_amplitude=0.03, **CFG)
     snaps, diags = run(cfg)
     mass = np.array([d["mass"] for d in diags])
     energy = np.array([d["energy"] for d in diags])
@@ -177,15 +177,15 @@ def test_conserved_run_keeps_mass_at_default_t_max():
     # the default 32
     drifts = {}
     for overrides in ({}, {"delta_t": 0.01}, {"dt": 1e-2, "T": 0.1}):
-        _, diags = run(RunConfig(j_max=8, **overrides))
+        _, diags = run(Config(j_max=8, **overrides))
         mass = np.array([d["mass"] for d in diags])
         drifts[str(overrides)] = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
     assert max(drifts.values()) <= 1e-8, drifts
 
 
 def test_relaxational_run_moves_toward_well(cs8):
-    cfg = RunConfig(equation="allen-cahn", ic_kind="constant", ic_value=0.3,
-                    T=0.02, dt=1e-3, **CFG)
+    cfg = Config(equation="allen-cahn", ic_kind="constant", ic_value=0.3,
+                 T=0.02, dt=1e-3, **CFG)
     snaps, diags = run(cfg)
     c = 0.3
     for _ in range(20):
@@ -196,7 +196,7 @@ def test_relaxational_run_moves_toward_well(cs8):
 
 @pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
 def test_run_without_diagnostics_keeps_snapshots(grid8, spec8, equation):
-    cfg = RunConfig(equation=equation, T=0.01, dt=1e-3, snapshot_every=4, **CFG)
+    cfg = Config(equation=equation, T=0.01, dt=1e-3, snapshot_every=4, **CFG)
     snaps, diags = run(cfg, context=(spec8, grid8))
     bare, rows = run(cfg, context=(spec8, grid8), diagnostics=False)
     assert len(diags) == 11 and rows == []
@@ -227,7 +227,7 @@ def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
                         counted(TransformPlan.to_modes, "transform"))
     monkeypatch.setattr(evolve, "flux_divergence",
                         counted(evolve.flux_divergence, "sweep"))
-    cfg = RunConfig(T=0.005, **CFG)
+    cfg = Config(T=0.005, **CFG)
     run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
     steps, sweeps = cfg.n_steps, calls["sweep"]
     assert sweeps >= steps
@@ -268,7 +268,7 @@ def test_rows_use_one_angular_grid(monkeypatch, grid8, spec8, equation):
     monkeypatch.setattr(evolve, "_diagnostics_row",
                         tallied(evolve._diagnostics_row, per_row))
     monkeypatch.setattr(Stepper, "step", tallied(Stepper.step, per_step))
-    cfg = RunConfig(T=0.005, equation=equation, **CFG)
+    cfg = Config(T=0.005, equation=equation, **CFG)
     run(cfg, context=(spec8, grid8))
     assert per_row == [{"transform": 3, "quadrature": 0}] * (cfg.n_steps + 1)
     assert all(c["quadrature"] == 0 for c in per_step)
@@ -339,7 +339,7 @@ def test_conserved_step_peak_allocation(default_context):
     # evaluation's values; their full-height arrays took 10.3 fields
     spec, grid = default_context
     stepper = Stepper(spec, grid, 1e-3)
-    u = initial_state(RunConfig(), grid, spec)
+    u = initial_state(Config(), grid, spec)
     evaluations = [stepper.plan.synthesise(u.coeffs) for _ in range(2)]
     peak = _peak_fields(lambda: stepper.step(u, evaluation=evaluations.pop()), grid)
     assert peak <= 8.0
@@ -373,8 +373,8 @@ def test_diagnostics_row_peak_allocation(default_context):
 FAULTS_MAX = 300
 _FAULTS_SCRIPT = """
 import resource
-from conelab import RunConfig, run
-cfg = RunConfig(T=0.01)
+from conelab import Config, run
+cfg = Config(T=0.01)
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run(cfg)
@@ -393,7 +393,7 @@ def test_warm_run_takes_few_page_faults(src_env):
 
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):
-    cfg = RunConfig(T=0.005, dt=1e-3, **CFG)
+    cfg = Config(T=0.005, dt=1e-3, **CFG)
     u0 = initial_state(cfg, grid8, spec8)
     with pytest.raises(ValueError):
         run(cfg, initial=u0)  # same layout, but not the run's own grid
@@ -402,7 +402,7 @@ def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):
 
 
 def test_picard_divergence_guard(grid8, spec8):
-    cfg = RunConfig(seed=3, ic_amplitude=50.0, ic_modes=5, **CFG)
+    cfg = Config(seed=3, ic_amplitude=50.0, ic_modes=5, **CFG)
     u0 = initial_state(cfg, grid8, spec8)
     st = Stepper(spec8, grid8, 10.0, "cahn-hilliard", 8)
     with pytest.raises(PicardDivergenceError):
@@ -412,7 +412,7 @@ def test_picard_divergence_guard(grid8, spec8):
 def test_picard_stall_raises(grid8, spec8):
     # the residual shrinks, but two sweeps do not reach the tolerance;
     # step 1 of this run reaches it (residual 0.0) in six
-    u0 = initial_state(RunConfig(**CFG), grid8, spec8)
+    u0 = initial_state(Config(**CFG), grid8, spec8)
     with pytest.raises(PicardDivergenceError, match="after 2 sweeps"):
         Stepper(spec8, grid8, 1e-3, "cahn-hilliard", 2, 1e-30).step(u0)
     Stepper(spec8, grid8, 1e-3, "cahn-hilliard", 8, 1e-30).step(u0)
@@ -436,7 +436,7 @@ def test_default_step_is_one_solve_per_mode(monkeypatch, grid8, spec8, equation)
 
     counted("flux_divergence")
     counted(routine)
-    u0 = initial_state(RunConfig(equation=equation, **CFG), grid8, spec8)
+    u0 = initial_state(Config(equation=equation, **CFG), grid8, spec8)
     Stepper(spec8, grid8, 1e-3, equation).step(u0, f=double_well)
     assert calls == {"flux_divergence": int(equation == "cahn-hilliard"),
                      routine: grid8.j_max + 1}
@@ -448,7 +448,7 @@ def test_one_sweep_blow_up_raises(grid8, spec8, dt, diagnostics):
     # from amplitude-50 data a step may return a huge but finite field;
     # its diagnostics row or a later step must then raise, without a
     # NumPy warning, rather than the run return a field
-    cfg = RunConfig(seed=3, ic_amplitude=50.0, ic_modes=5, dt=dt, T=10 * dt, **CFG)
+    cfg = Config(seed=3, ic_amplitude=50.0, ic_modes=5, dt=dt, T=10 * dt, **CFG)
     with pytest.raises(LinAlgError):
         run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
 
@@ -456,7 +456,7 @@ def test_one_sweep_blow_up_raises(grid8, spec8, dt, diagnostics):
 def test_wellposedness_smoke(grid8, spec8):
     # continuous dependence: perturbing the data by delta moves the end
     # state by a gap linear in delta, and delta = 0 changes no bit
-    cfg = RunConfig(T=0.01, dt=1e-3, seed=7, ic_amplitude=0.03, **CFG)
+    cfg = Config(T=0.01, dt=1e-3, seed=7, ic_amplitude=0.03, **CFG)
     u0 = initial_state(cfg, grid8, spec8)
     bump = evolve._bump_envelope(grid8.t)
 
@@ -481,7 +481,7 @@ def test_a_run_builds_one_stencil(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(assembly.RadialOperator, "__init__", counted)
-    run(RunConfig(j_max=8, t_max=3.0, T=0.005))
+    run(Config(j_max=8, t_max=3.0, T=0.005))
     assert len(built) == 1
 
 
@@ -496,7 +496,7 @@ def test_a_config_builds_one_cross_section(monkeypatch):
         return roots(cs, j)
 
     monkeypatch.setattr(cone_symbol, "_mode_roots", counted)
-    cfg = RunConfig(gamma=-0.5)
+    cfg = Config(gamma=-0.5)
     spec, grid = cfg.context()
     assert len(calls) == 33
     assert spec.cs is grid.cs is cfg.cross_section()
@@ -508,14 +508,24 @@ def _run_bits(result):
             [np.array(list(row.values()), dtype=float).tobytes() for row in rows])
 
 
+def test_run_refuses_a_sphere_before_any_step(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("run built a Stepper for a sphere")
+
+    monkeypatch.setattr(evolve, "Stepper", built)
+    cfg = Config(geometry="sphere", n=2, j_max=4, t_max=3.0, T=0.005)
+    with pytest.raises(ValueError, match="circle cross-sections only"):
+        run(cfg)
+
+
 @pytest.mark.parametrize("source", ["run-config", "parsed-with-gamma"])
 def test_run_builds_the_context_of_config_context(source, tmp_path):
     if source == "run-config":
-        cfg = RunConfig(j_max=8, t_max=3.0, T=0.005)
+        cfg = Config(j_max=8, t_max=3.0, T=0.005)
     else:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"j_max": 8, "t_max": 3.0, "T": 0.005,
                                     "gamma": -0.25}))
-        cfg = parse_config(str(path)).to_run_config()
+        cfg = parse_config(str(path))
         assert cfg.gamma == -0.25
     assert _run_bits(run(cfg)) == _run_bits(run(cfg, context=cfg.context()))

@@ -23,12 +23,12 @@ def scipy_modules():
 import conelab
 after_import = scipy_modules()
 from conelab.cli import main
-from conelab.evolve import RunConfig, run
+from conelab import Config, run
 config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
 for command in commands:
     assert main([command, "--config", config, "--out", out + "/" + command]) == 0
 if "simulate" in commands:
-    run(RunConfig(j_max=64, t_max=3.0, delta_t=0.05, T=0.002))
+    run(Config(j_max=64, t_max=3.0, delta_t=0.05, T=0.002))
 print(json.dumps([after_import, scipy_modules()]))
 """
 

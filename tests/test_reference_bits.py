@@ -29,7 +29,7 @@ from numpy.linalg import LinAlgError
 from scipy import fftpack
 from scipy.linalg import solve_banded
 
-from conelab import (ConeGrid, FieldState, RunConfig, Stepper, ZeroModeError,
+from conelab import (ConeGrid, Config, FieldState, Stepper, ZeroModeError,
                      asymptotics, build_extension, default_weight,
                      double_well, energy_functional, fit_exponents,
                      flux_divergence, initial_state, laplacian_suite,
@@ -150,7 +150,7 @@ def _assert_stepper_matches_lil_bands(st, order):
     for j, ((kl, _), ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
         want = banded_lu(_lapack_bands(ab, kl))
         assert [f[j].tobytes() for f in st._factors] == [f[0].tobytes() for f in want], j
-        assert st._row_scale[j].tobytes() == d.tobytes(), j
+        assert np.ldexp(1.0, st._row_scale[j]).tobytes() == d.tobytes(), j
 
 
 def _zero_entry_case():
@@ -205,7 +205,7 @@ def test_factored_solve_matches_solve_banded(grid8, spec8, tall, equation, order
         for j, (lu, ab, d) in enumerate(_lil_bands(grid, spec, st.dt, order)):
             cols = _mode_columns(grid, j)
             ref[:, cols] = solve_banded(lu, ab, d[:, None] * rhs[:, cols])
-            assert st._row_scale[j].tobytes() == d.tobytes()
+            assert np.ldexp(1.0, st._row_scale[j]).tobytes() == d.tobytes()
         assert st._solve(rhs).tobytes() == ref.tobytes()
 
 
@@ -214,7 +214,10 @@ def test_factored_solve_matches_solve_banded(grid8, spec8, tall, equation, order
 def test_lu_factors_and_row_scales_match_lil_bands(grid8, spec8, tall, wide,
                                                    equation, order):
     cs1, spec1 = _circle_spec(1)
-    for grid, spec in ((grid8, spec8), tall, wide, (ConeGrid(cs1, 3.0, 60, j_max=1), spec1)):
+    # t_max = 30 at delta_t = 0.1 scales rows by down to 2^-179, past int8
+    longest = ConeGrid(grid8.cs, 30.0, 300, j_max=8), spec8
+    for grid, spec in ((grid8, spec8), tall, wide, (ConeGrid(cs1, 3.0, 60, j_max=1), spec1),
+                       longest):
         _assert_stepper_matches_lil_bands(Stepper(spec, grid, 1e-3, equation), order)
 
 
@@ -399,8 +402,8 @@ def test_picard_step_matches_full_height_sweeps(request, grid_name, spec_name):
     # sweep's row blocks must not have overwritten
     grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
     st = Stepper(spec, grid, 1e-3, "cahn-hilliard", 8)
-    u = initial_state(RunConfig(j_max=grid.j_max, t_max=3.0, delta_t=0.02,
-                                ic_amplitude=0.5), grid, spec)
+    u = initial_state(Config(j_max=grid.j_max, t_max=3.0, delta_t=0.02,
+                             ic_amplitude=0.5), grid, spec)
     w = u.coeffs
     lw = st.laplace(w)
     base = -(st.laplace(lw) + lw)
@@ -422,8 +425,8 @@ def test_picard_step_matches_full_height_sweeps(request, grid_name, spec_name):
 
 @pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
 def test_run_rows_match_diagnostics_functionals(grid8, spec8, equation):
-    cfg = RunConfig(j_max=8, t_max=3.0, delta_t=0.02, T=0.005, snapshot_every=1,
-                    equation=equation)
+    cfg = Config(j_max=8, t_max=3.0, delta_t=0.02, T=0.005, snapshot_every=1,
+                 equation=equation)
     snaps, rows = run(cfg, context=(spec8, grid8))
     assert len(snaps) == len(rows) == cfg.n_steps + 1
     for snap, row in zip(snaps, rows):
@@ -527,8 +530,8 @@ def _assert_diagnostics_match(u, gamma, ks=(2,), ps=(2.0,), row=None):
 def test_run_rows_match_full_height_references(spec8, tall, equation):
     # the tall grid is the default t_max: 18 of 301 nodes carry the outer part
     grid, spec = tall
-    cfg = RunConfig(j_max=8, t_max=12.0, delta_t=0.04, T=0.004, snapshot_every=1,
-                    equation=equation)
+    cfg = Config(j_max=8, t_max=12.0, delta_t=0.04, T=0.004, snapshot_every=1,
+                 equation=equation)
     snaps, rows = run(cfg, context=(spec, grid))
     assert len(snaps) == len(rows) == cfg.n_steps + 1
     for snap, row in zip(snaps, rows):
@@ -569,8 +572,8 @@ def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
     # the step takes u^3 from the row's values; synthesising u afresh in
     # every step must give the same bits
     grid, spec = tall
-    cfg = RunConfig(j_max=8, t_max=12.0, delta_t=0.04, T=0.01, snapshot_every=3,
-                    equation="allen-cahn")
+    cfg = Config(j_max=8, t_max=12.0, delta_t=0.04, T=0.01, snapshot_every=3,
+                 equation="allen-cahn")
     snaps, _ = run(cfg, context=(spec, grid))
     stepper = Stepper(spec, grid, cfg.dt, "allen-cahn")
     u = initial_state(cfg, grid, spec)
@@ -584,7 +587,7 @@ def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
 
 def test_diagnostics_row_leaves_its_evaluation_intact(grid8, spec8):
     # the next conserved step consumes the evaluation the row returns
-    u = initial_state(RunConfig(j_max=8, t_max=3.0, delta_t=0.02), grid8, spec8)
+    u = initial_state(Config(j_max=8, t_max=3.0, delta_t=0.02), grid8, spec8)
     _, evaluation = _diagnostics_row(u, 0, spec8)
     fresh = transform_plan(grid8).synthesise(u.coeffs)
     assert [a.tobytes() for a in evaluation] == [a.tobytes() for a in fresh]
@@ -626,7 +629,7 @@ def _per_value_snapshot_text(snap):
 
 
 def test_snapshot_text_matches_per_value_format(grid8, spec8):
-    cfg = RunConfig(j_max=8, t_max=3.0, delta_t=0.02, T=0.01, snapshot_every=5)
+    cfg = Config(j_max=8, t_max=3.0, delta_t=0.02, T=0.01, snapshot_every=5)
     snaps, _ = run(cfg, context=(spec8, grid8), diagnostics=False)
     odd = FieldState.zeros(grid8, gamma=None, p=2.0)
     special = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, np.inf, np.nan, -np.inf]
@@ -688,7 +691,7 @@ def fit_profiles(grid_tall):
     """(state, mode): every mode of three evolved states, and the fit tests' profiles."""
     out = []
     for overrides in ({}, {"ic_amplitude": 0.9}, {"j_max": 8}):
-        final = run(RunConfig(**overrides), diagnostics=False)[0][-1]
+        final = run(Config(**overrides), diagnostics=False)[0][-1]
         out += [(final, j) for j in range(final.grid.j_max + 1)]
     pair = monomial_state(grid_tall, 1.0, mode=1, amplitude=2.0)
     pair.coeffs += monomial_state(grid_tall, 1.0, mode=1, log_power=1).coeffs

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import (build_extension, compute_bilaplacian_poles, compute_poles,
+from conelab import (Config, build_extension, compute_bilaplacian_poles, compute_poles,
                      default_weight, from_spectrum, make_circle, make_sphere)
-from conelab.cli import CliConfig, _ser, dispatch
+from conelab.cli import _ser, dispatch
 
 CLI_PINS = {
     "circle-32": ({},
@@ -57,7 +57,7 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_poles_and_domain_files_are_pinned(name, tmp_path):
     overrides, poles_sha, domain_sha = CLI_PINS[name]
-    cfg = CliConfig(**overrides)
+    cfg = Config(**overrides)
     for command in ("poles", "domain"):
         assert dispatch(command, cfg, str(tmp_path)) == 0
     assert _sha((tmp_path / "poles.json").read_bytes()) == poles_sha
