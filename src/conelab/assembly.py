@@ -282,15 +282,10 @@ def transform_plan(grid: ConeGrid) -> TransformPlan:
     return plan
 
 
-def cubic_field(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
-    """Mode coefficients of u^3 via the dealiased physical grid.
-
-    values, when given, is u on the padded physical grid
-    (TransformPlan.to_physical(u.coeffs)) and is not synthesised again.
-    """
+def cubic_field(u: FieldState) -> FieldState:
+    """Mode coefficients of u^3 via the dealiased physical grid."""
     plan = transform_plan(u.grid)
-    if values is None:
-        values = plan.to_physical(u.coeffs)
+    values = plan.to_physical(u.coeffs)
     # a product, not values ** 3, which goes through libm pow per element
     cube = values * values
     cube *= values
@@ -313,9 +308,10 @@ def flux_divergence(scalar_phys: Union[np.ndarray, Callable[[slice], np.ndarray]
 
     scalar_phys is s as an array, or a function that returns s on a
     slice of rows as a new array.  evaluation is the list
-    TransformPlan.synthesise(z), computed here unless the caller has it;
-    a caller's list is consumed: it is emptied and its arrays are
-    overwritten as scratch.  The fluxes go one block of block_rows(m)
+    TransformPlan.synthesise(z), computed here unless the caller gives
+    it (the conserved step gives the one it took s from); a list it is
+    given is consumed: it is emptied and its arrays are overwritten as
+    scratch.  The fluxes go one block of block_rows(m)
     of them at a time, from the nodes of the block and one halo row; the
     block's divergence rows are written over the values of z, whose
     rows it has then read for the last time, and the block's last flux

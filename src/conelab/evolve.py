@@ -31,19 +31,12 @@ the right-hand side vanishes identically (the stiff term is applied as
 two successive Laplacian applications, which annihilate constants in
 floating point) and the solve returns delta = 0 bitwise.
 
-Each state of a run is synthesised once: TransformPlan.synthesise
-gives its values and angular derivative on the padded physical grid,
-the only angular grid a diagnostics row uses.  The row builds them after
-the norms, integrates the energy density on them and takes the sup norm
-as the largest |value|; run then hands them to the next step of either
-flow.  The conserved step runs its first sweep on them, since that
-sweep is at delta = 0 and w + 0 synthesises to the bits of w: it forms
-3 u_n^2 from the values a row block at a time and writes the radial
-divergence over them (see flux_divergence).  The opt-in Picard sweeps
-keep a copy of the values for 3 u_n^2.  The relaxational step needs only
-the values, for u_n^3, so run keeps only those through it.  A step
-given nothing synthesises its state itself, so a run without
-diagnostics synthesises nothing after its last step.
+A diagnostics row synthesises its state's values once, on the padded
+physical grid, for the double well and the sup norm; the gradient half
+of the energy comes from the mode coefficients (see energy_functional).
+A step synthesises what it reads itself: the conserved step its values
+and angular derivative, which its first sweep consumes (see
+flux_divergence), and the relaxational step u for u^3 (see cubic_field).
 """
 
 import ctypes
@@ -69,12 +62,9 @@ class PicardDivergenceError(RuntimeError):
 RunConfig = Config
 
 
-def double_well(u: FieldState, values: Optional[np.ndarray] = None) -> FieldState:
-    """f(u) = u - u^3 through the dealiased transform.
-
-    values, when given, is u on the padded physical grid; see cubic_field.
-    """
-    return u.like(u.coeffs - cubic_field(u, values).coeffs)
+def double_well(u: FieldState) -> FieldState:
+    """f(u) = u - u^3 through the dealiased transform."""
+    return u.like(u.coeffs - cubic_field(u).coeffs)
 
 
 def _lapack(name: str, n_args: int, hidden: int = 0):
@@ -312,26 +302,16 @@ class Stepper:
 
     def step(self, u: FieldState,
              f: Optional[Callable[[FieldState], FieldState]] = None,
-             forcing: Optional[Callable[[float], np.ndarray]] = None,
-             evaluation: Optional[List[np.ndarray]] = None) -> FieldState:
-        """Advance u by dt.
-
-        evaluation, when given, is the list self.plan.synthesise(u.coeffs),
-        which the conserved flow then does not compute again.  Its first
-        sweep consumes the list (see flux_divergence), so the two arrays
-        are freed while the caller still holds it.  The relaxational flow
-        reads only the first array, u on the padded grid, which may be the
-        only one; it empties the list too and calls f(u, values) (see
-        double_well).
-        """
+             forcing: Optional[Callable[[float], np.ndarray]] = None) -> FieldState:
+        """Advance u by dt."""
         # an overflow or invalid value here ends in a non-finite right-hand
         # side or FieldState, either of which raises LinAlgError
         with np.errstate(over="ignore", invalid="ignore"):
             if self.equation == "cahn-hilliard":
-                return self._ch_step(u, forcing, evaluation)
-            return self._ac_step(u, f, forcing, evaluation)
+                return self._ch_step(u, forcing)
+            return self._ac_step(u, f, forcing)
 
-    def _ch_step(self, u: FieldState, forcing, evaluation) -> FieldState:
+    def _ch_step(self, u: FieldState, forcing) -> FieldState:
         # conserved flow.  The cubic transport enters in divergence form
         # div(3 u_n^2 grad(u_n + delta)), staggered radially: the weighted
         # radial sum telescopes, so mass moves only through the two
@@ -343,8 +323,7 @@ class Stepper:
         del lw
         if forcing is not None:
             base = base + np.asarray(forcing(u.time + dt))
-        if not evaluation:
-            evaluation = self.plan.synthesise(w)
+        evaluation = self.plan.synthesise(w)
         # the first sweep overwrites the evaluation; later ones need u_n
         values = evaluation[0].copy() if self.picard_iters > 1 else evaluation[0]
         transport = _transport(values)
@@ -357,8 +336,8 @@ class Stepper:
             return self._solve(rhs)
 
         # the linearly implicit step: the sweep at delta = 0, where w + 0
-        # synthesises to the bits of w, so it consumes the shared
-        # evaluation and never reads z
+        # synthesises to the bits of w, so it consumes u_n's evaluation
+        # and never reads z
         delta = sweep(w, evaluation)
         if self.picard_iters > 1:
             delta = self._picard(sweep, w, delta)
@@ -399,16 +378,12 @@ class Stepper:
             rhs = rhs + f(u).coeffs
         return rhs
 
-    def _ac_step(self, u: FieldState, f, forcing, evaluation) -> FieldState:
+    def _ac_step(self, u: FieldState, f, forcing) -> FieldState:
         dt = self.dt
         w = u.coeffs
-        values = None
-        if evaluation:
-            values = evaluation[0]
-            evaluation.clear()      # the values die with this step
         rhs = self.laplace(w)
         if f is not None:
-            rhs = rhs + (f(u) if values is None else f(u, values)).coeffs
+            rhs = rhs + f(u).coeffs
         if forcing is not None:
             rhs = rhs + np.asarray(forcing(u.time + dt))
         rhs = dt * rhs
@@ -426,41 +401,40 @@ def mass_functional(u: FieldState) -> float:
     return float(grid.dt * np.sqrt(float(grid.cs.area())) * np.sum(w * col))
 
 
-def energy_functional(u: FieldState,
-                      evaluation: Optional[List[np.ndarray]] = None) -> float:
+def energy_functional(u: FieldState, values: Optional[np.ndarray] = None) -> float:
     """Double-well energy int 1/4 (u^2-1)^2 + 1/2 (grad u, grad u)_g dvol.
 
-    The density 1/4 (u^2 - 1)^2 + 1/2 e^(2t) (u_t^2 + u_theta^2) is
+    The gradient half 1/2 e^(2t) (u_t^2 + u_theta^2) is integrated over
+    the circle by Parseval: the channels are orthonormal, so
+    int (u_t^2 + u_theta^2) dtheta = sum_c (d_t u_c)^2 - lambda_c u_c^2,
+    with d_t from grid.radial_derivative.  The well 1/4 (u^2 - 1)^2 is
     formed on the padded physical grid and summed there: the uniform sum
     over its m >= 4 j_max + 5 angles integrates every trigonometric
-    polynomial of degree below m exactly, and the density's degree is at
-    most 4 j_max.  evaluation, when given, is
-    TransformPlan.synthesise(u.coeffs); it is only read, because the next
-    conserved step consumes it.
+    polynomial of degree below m exactly, and the well's degree is
+    4 j_max.  values, when given, is TransformPlan.to_physical(u.coeffs);
+    it is only read.
     """
     grid = u.grid
     plan = transform_plan(grid)
-    phys, angular = evaluation or plan.synthesise(u.coeffs)
-    dens = plan.to_physical(grid.radial_derivative(u.coeffs))
-    dens *= dens
-    e2t = np.exp(2.0 * grid.t)[:, np.newaxis]
-    # the rest goes a block of rows at a time, so that no second
-    # padded-grid array is alive beside the evaluation and dens
+    if values is None:
+        values = plan.to_physical(u.coeffs)
+    # a block of rows at a time, so that no second padded-grid array is
+    # alive beside the values
+    well = np.empty(grid.n_nodes)
     step = block_rows(plan.m)
     for lo in range(0, grid.n_nodes, step):
-        rows = slice(lo, lo + step)
-        block = dens[rows]
-        block += angular[rows] * angular[rows]
-        block *= e2t[rows]
-        block *= 0.5
-        well = phys[rows] ** 2
-        well -= 1.0
-        well **= 2
-        well *= 0.25
-        block += well
-        del well
+        block = values[lo:lo + step] ** 2
+        block -= 1.0
+        block **= 2
+        well[lo:lo + step] = block.sum(axis=1)
+    pair = grid.radial_derivative(u.coeffs)
+    pair *= pair
+    angular = u.coeffs * u.coeffs
+    angular *= -grid.channel_lams
+    pair += angular
     L = float(grid.cs.circumference)
-    radial = dens.sum(axis=1) * (L / plan.m) * np.exp(-(grid.cs.n + 1) * grid.t)
+    radial = (0.25 * L / plan.m) * well + 0.5 * np.exp(2.0 * grid.t) * pair.sum(axis=1)
+    radial *= np.exp(-(grid.cs.n + 1) * grid.t)
     return float(_trapezoid(radial, grid.t))
 
 
@@ -518,13 +492,12 @@ def initial_state(config: Config, grid: ConeGrid,
     return u
 
 
-def _diagnostics_row(u: FieldState, step: int,
-                     spec: ExtensionSpec) -> Tuple[dict, List[np.ndarray]]:
-    """The row of u, and the evaluation synthesise(u.coeffs) it used.
+def _diagnostics_row(u: FieldState, step: int, spec: ExtensionSpec) -> dict:
+    """The diagnostics row of u.
 
-    The energy and the sup norm are both taken on the evaluation's padded
-    angular grid, which they only read.  The evaluation is built after
-    the norms, so its two arrays are never alive together with the norms'
+    The energy's well and the sup norm are both taken on u's values on
+    the padded angular grid, which they only read.  The values are built
+    after the norms, so they are never alive together with the norms'
     derivative stacks.  A row that overflows raises LinAlgError: the
     quartic energy overflows long before a step does, so a blown-up but
     finite state is caught here.
@@ -533,13 +506,12 @@ def _diagnostics_row(u: FieldState, step: int,
     with np.errstate(over="ignore", invalid="ignore"):
         mass = mass_functional(u)
         norm0, norm2 = mellin_norms(u, 2, spec.gamma)
-        evaluation = transform_plan(u.grid).synthesise(u.coeffs)
-        values = evaluation[0]
+        values = transform_plan(u.grid).to_physical(u.coeffs)
         row = {
             "step": step,
             "time": u.time,
             "mass": mass,
-            "energy": energy_functional(u, evaluation),
+            "energy": energy_functional(u, values),
             # max |values| without a temporary the size of values
             "supnorm": float(max(abs(values.min()), abs(values.max()))),
             "norm0": norm0,
@@ -547,7 +519,7 @@ def _diagnostics_row(u: FieldState, step: int,
         }
     if not np.all(np.isfinite(list(row.values()))):
         raise LinAlgError(f"diagnostics row of step {step} is not finite")
-    return row, evaluation
+    return row
 
 
 def run(config: Config, initial: Optional[FieldState] = None,
@@ -575,22 +547,14 @@ def run(config: Config, initial: Optional[FieldState] = None,
     compatibility_check(u, spec, stepper.tip_ratio)
     f = double_well if config.equation == "allen-cahn" else None
     snapshots = [u.copy()]
-    rows = []
-
-    def record(u: FieldState, step: int):
-        row, evaluation = _diagnostics_row(u, step, spec)
-        rows.append(row)
-        # the relaxational step reads only the values: the angular
-        # derivative is freed here
-        return evaluation if config.equation == "cahn-hilliard" else evaluation[:1]
-
-    evaluation = record(u, 0) if diagnostics else None
+    rows = [_diagnostics_row(u, 0, spec)] if diagnostics else []
     for step in range(1, config.n_steps + 1):
         try:
-            u = stepper.step(u, f=f, evaluation=evaluation)
+            u = stepper.step(u, f=f)
         except LinAlgError as e:
             raise LinAlgError(f"time step {step}: {e}") from e
-        evaluation = record(u, step) if diagnostics else None
+        if diagnostics:
+            rows.append(_diagnostics_row(u, step, spec))
         if step % config.snapshot_every == 0 or step == config.n_steps:
             snapshots.append(u.copy())
     return snapshots, rows

@@ -99,16 +99,24 @@ def interval_I(gamma: float, cs: CrossSection) -> list:
     """Entries of compute_poles(cs) strictly inside ((n+1)/2-gamma-2, (n+1)/2-gamma).
 
     Raises EndpointCollisionError, naming gamma, when some pole sits within
-    MERGE_TOL of either line of the interval.  On the lower line the
-    minimal domain would fail to be a plain weighted Sobolev space.  The
-    upper line is the image of the lower line of I_{-gamma} under
-    q -> (n-1) - q, which maps the poles onto themselves, so a pole on it
-    means its dual sits on the dual weight's lower line.
+    MERGE_TOL of either line of the interval or of J's lower line
+    (n+1)/2-gamma-4.  On the lower line the minimal domain would fail to
+    be a plain weighted Sobolev space.  The upper line is the image of the
+    lower line of I_{-gamma} under q -> (n-1) - q, which maps the poles
+    onto themselves, so a pole on it means its dual sits on the dual
+    weight's lower line.  J's lower line is the lower line of the squared
+    operator's interval.  A fourth-order pole sits at a pole q or at
+    q - 2, so one on J's line is a pole on it or on I_gamma's lower line.
+    The strip the fourth-order domain is cross-checked over includes
+    that line while J excludes it, so such a pole would break the
+    domain's direct-sum structure (InconsistentDomainError) instead of
+    naming the weight.  It is checked last, so a weight on a line of
+    I_gamma as well is named by that line.
     """
     catalog = compute_poles(cs)
-    lo = 0.5 * (cs.n + 1) - gamma - 2.0
     hi = 0.5 * (cs.n + 1) - gamma
-    for line in (lo, hi):
+    lo = hi - 2.0
+    for line in (lo, hi, hi - 4.0):
         for e in catalog:
             if abs(e.location - line) <= MERGE_TOL:
                 raise EndpointCollisionError(
@@ -225,7 +233,7 @@ def build_extension(cs: CrossSection, gamma: float, p: float = 2.0) -> Extension
     """The extension for weight gamma and the domain of its square, built whole.
 
     The weight must lie strictly inside the admissible window, and no pole
-    may sit on either line of I_gamma.
+    may sit on either line of I_gamma or on J's lower line.
     """
     if p < 1:
         raise ValueError("integrability exponent p must be >= 1")
@@ -266,14 +274,26 @@ def default_weight(cs: CrossSection) -> float:
     """The run-time default: the admissible window's midpoint, or where a pole
     q sits on a line of I_gamma there (circles with L = (2k+1) pi / 2), the
     midpoint of the widest (and lowest) piece of the window between the
-    weights (n+1)/2 - q and (n+1)/2 - q - 2 at which poles collide."""
+    weights (n+1)/2 - q and (n+1)/2 - q - 2 at which poles collide.  Only
+    where a pole sits on J's lower line at that weight too (the circle
+    with L = 2 pi / 3) are the weights (n+1)/2 - q - 4 cut as well."""
     lo, hi = admissible_window(cs)
-    try:
-        interval_I(0.5 * (lo + hi), cs)
-    except EndpointCollisionError:
-        weights = [0.5 * (cs.n + 1) - e.location - s for e in compute_poles(cs) for s in (0, 2)]
-        cuts = sorted({lo, hi, *(w for w in weights if lo < w < hi)})
-        lo, hi = max(zip(cuts, cuts[1:]), key=lambda piece: piece[1] - piece[0])
+    for shifts in ((), (0, 2)):
+        gamma = _widest_piece_midpoint(cs, lo, hi, shifts)
+        try:
+            interval_I(gamma, cs)
+            return gamma
+        except EndpointCollisionError:
+            pass
+    return _widest_piece_midpoint(cs, lo, hi, (0, 2, 4))
+
+
+def _widest_piece_midpoint(cs: CrossSection, lo: float, hi: float, shifts: tuple) -> float:
+    """Midpoint of the widest (and lowest) piece of (lo, hi) between the
+    weights (n+1)/2 - q - s, s in shifts, at which poles q collide."""
+    weights = [0.5 * (cs.n + 1) - e.location - s for e in compute_poles(cs) for s in shifts]
+    cuts = sorted({lo, hi, *(w for w in weights if lo < w < hi)})
+    lo, hi = max(zip(cuts, cuts[1:]), key=lambda piece: piece[1] - piece[0])
     return 0.5 * (lo + hi)
 
 

@@ -87,9 +87,7 @@ def sector_resolvent_bound(A: np.ndarray, theta: float, samples: int = 200) -> f
     closed reflected sector, i.e. -lambda within angle theta of the
     positive axis (the resolvent would blow up there).
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("a square matrix is required")
+    A = _as_square(A)
     eigs = np.linalg.eigvals(A)
     for lam in eigs:
         m = -lam

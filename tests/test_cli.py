@@ -349,6 +349,15 @@ def test_default_weight_off_a_pole_line_runs(tmp_path, k):
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
 
 
+def test_default_weight_off_j_lower_line_runs(tmp_path):
+    # L = 2 pi / 3: the window's midpoint 0 puts q_1^- = -3 on J's lower
+    # line (n+1)/2 - gamma - 4, which used to end in exit 2
+    path = _write_cfg(tmp_path, L=2.0943951023931953, j_max=4, T=0.002)
+    for command in ("domain", "simulate"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+    assert json.loads((tmp_path / "domain" / "domain.json").read_text())["gamma"] == -0.5
+
+
 @pytest.mark.parametrize("command", ["norms", "asympt"])
 def test_relaxational_overflow_is_a_numerical_failure(tmp_path, capsys, command):
     # with no diagnostics rows the step itself meets the overflowing cube

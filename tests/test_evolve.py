@@ -204,52 +204,44 @@ def test_run_without_diagnostics_keeps_snapshots(grid8, spec8, equation):
     assert [s.coeffs.tobytes() for s in bare] == [s.coeffs.tobytes() for s in snaps]
 
 
+def _counted(calls, fn, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("diagnostics", [True, False])
 def test_conserved_run_synthesises_each_state_once(monkeypatch, grid8, spec8,
                                                    diagnostics):
-    # a row costs 3 transforms: the values, the angular and the radial
-    # derivative, all on the padded grid.  The next step takes the row's
-    # values and angular derivative for u^2 and its first sweep, which
-    # then only projects twice; a step given none synthesises both
-    # itself.  Later sweeps synthesise and project 2 + 2, and nothing is
-    # synthesised after the last step.
+    # a row costs 1 transform, the values on the padded grid.  A step
+    # synthesises its values and angular derivative for u^2 and its first
+    # sweep, which then projects twice; later sweeps synthesise and
+    # project 2 + 2, and nothing is synthesised after the last step.
     calls = {"transform": 0, "sweep": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(TransformPlan, "to_physical",
-                        counted(TransformPlan.to_physical, "transform"))
+                        _counted(calls, TransformPlan.to_physical, "transform"))
     monkeypatch.setattr(TransformPlan, "to_modes",
-                        counted(TransformPlan.to_modes, "transform"))
+                        _counted(calls, TransformPlan.to_modes, "transform"))
     monkeypatch.setattr(evolve, "flux_divergence",
-                        counted(evolve.flux_divergence, "sweep"))
+                        _counted(calls, evolve.flux_divergence, "sweep"))
     cfg = Config(T=0.005, **CFG)
     run(cfg, context=(spec8, grid8), diagnostics=diagnostics)
     steps, sweeps = cfg.n_steps, calls["sweep"]
     assert sweeps >= steps
-    rows = 3 * (steps + 1) if diagnostics else 0
-    own = 0 if diagnostics else 2 * steps
-    assert calls["transform"] == rows + own + 2 * steps + 4 * (sweeps - steps)
+    rows = steps + 1 if diagnostics else 0
+    assert calls["transform"] == rows + 4 * steps + 4 * (sweeps - steps)
 
 
 @pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
 def test_rows_use_one_angular_grid(monkeypatch, grid8, spec8, equation):
-    # each row synthesises its state on the padded grid (values, angular
-    # and radial derivative) and takes everything from there: nothing
-    # goes back to modes, and nothing is sampled on the cross-section's
-    # quadrature nodes.  The relaxational step then only projects u^3.
+    # each row synthesises its state's values on the padded grid and takes
+    # the well and the sup norm from there, the gradient from the modes:
+    # nothing goes back to modes, and nothing is sampled on the
+    # cross-section's quadrature nodes.  A conserved step synthesises and
+    # projects twice each, a relaxational one u and u^3 once each.
     calls = {"transform": 0, "quadrature": 0}
     per_row, per_step = [], []
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
     def tallied(fn, out):
         def wrapper(*args, **kwargs):
@@ -260,20 +252,19 @@ def test_rows_use_one_angular_grid(monkeypatch, grid8, spec8, equation):
         return wrapper
 
     monkeypatch.setattr(TransformPlan, "to_physical",
-                        counted(TransformPlan.to_physical, "transform"))
+                        _counted(calls, TransformPlan.to_physical, "transform"))
     monkeypatch.setattr(TransformPlan, "to_modes",
-                        counted(TransformPlan.to_modes, "transform"))
+                        _counted(calls, TransformPlan.to_modes, "transform"))
     monkeypatch.setattr(FieldState, "physical_values",
-                        counted(FieldState.physical_values, "quadrature"))
+                        _counted(calls, FieldState.physical_values, "quadrature"))
     monkeypatch.setattr(evolve, "_diagnostics_row",
                         tallied(evolve._diagnostics_row, per_row))
     monkeypatch.setattr(Stepper, "step", tallied(Stepper.step, per_step))
     cfg = Config(T=0.005, equation=equation, **CFG)
     run(cfg, context=(spec8, grid8))
-    assert per_row == [{"transform": 3, "quadrature": 0}] * (cfg.n_steps + 1)
-    assert all(c["quadrature"] == 0 for c in per_step)
-    if equation == "allen-cahn":
-        assert per_step == [{"transform": 1, "quadrature": 0}] * cfg.n_steps
+    assert per_row == [{"transform": 1, "quadrature": 0}] * (cfg.n_steps + 1)
+    per_transform = 4 if equation == "cahn-hilliard" else 2
+    assert per_step == [{"transform": per_transform, "quadrature": 0}] * cfg.n_steps
 
 
 @pytest.fixture(scope="module")
@@ -334,15 +325,15 @@ def test_stepper_live_size_on_a_fresh_wide_grid():
 
 
 def test_conserved_step_peak_allocation(default_context):
-    # given its evaluation, a step forms 3 u_n^2, the radial midpoints and
-    # the fluxes a row block at a time and writes the divergence over the
-    # evaluation's values; their full-height arrays took 10.3 fields
+    # a step synthesises its values and angular derivative (two padded-grid
+    # arrays), then forms 3 u_n^2, the radial midpoints and the fluxes a
+    # row block at a time and writes the divergence over the values; their
+    # full-height arrays took 10.3 fields beyond the two synthesised ones
     spec, grid = default_context
     stepper = Stepper(spec, grid, 1e-3)
     u = initial_state(Config(), grid, spec)
-    evaluations = [stepper.plan.synthesise(u.coeffs) for _ in range(2)]
-    peak = _peak_fields(lambda: stepper.step(u, evaluation=evaluations.pop()), grid)
-    assert peak <= 8.0
+    synthesised = 2 * stepper.plan.m / grid.n_channels
+    assert _peak_fields(lambda: stepper.step(u), grid) <= 8.0 + synthesised
 
 
 def test_laplace_peak_allocation(default_context):
@@ -355,9 +346,9 @@ def test_laplace_peak_allocation(default_context):
 
 
 def test_diagnostics_row_peak_allocation(default_context):
-    # the row holds its evaluation (two padded-grid arrays, about 2 fields
-    # each at j_max = 32) and one more for the energy density; projecting
-    # the pairing to modes and back took 8.2 fields, and this must not grow
+    # the row holds u's padded-grid values (about 2 fields at j_max = 32)
+    # and two fields for the gradient pairing; projecting the pairing to
+    # modes and back took 8.2 fields, and this must not grow
     spec, grid = default_context
     rng = np.random.default_rng(4)
     u = FieldState(grid, rng.normal(size=(grid.n_nodes, grid.n_channels)))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as strat
 
-from conelab import (EndpointCollisionError, InconsistentDomainError,
+from conelab import (Config, ConfigError, EndpointCollisionError, InconsistentDomainError,
                      admissible_window, build_extension, compute_poles,
                      default_weight, from_spectrum, interval_I, make_circle,
                      make_sphere, weight_window)
@@ -121,6 +122,41 @@ def test_one_selection_rule_pairs_every_pole(L, j_max, position):
             for a in spec.laplacian_addons] == [
         (s.entry.mode, s.entry.location, -s.entry.location, 1, False)
         for s in spec.selected if s.choice != "zero"]
+
+
+def _sweep_cross_sections():
+    """Config keys of the 91 circles L = 2 pi k / m (k, m <= 12 coprime),
+    S^2 to S^4, and 200 random circles with L in [0.5, 20]."""
+    for m in range(1, 13):
+        for k in range(1, 13):
+            if math.gcd(k, m) == 1:
+                yield {"L": 2.0 * math.pi * k / m, "j_max": 8}
+    for n in (2, 3, 4):
+        yield {"geometry": "sphere", "n": n, "j_max": 6}
+    for L in np.random.default_rng(0).uniform(0.5, 20.0, 200):
+        yield {"L": float(L), "j_max": 8}
+
+
+def test_every_weight_builds_or_is_a_gamma_error():
+    # every collision weight of I_gamma's two lines and of J's lower line
+    # in the window, and 39 evenly spaced ones.  A pole on J's lower line
+    # used to escape as InconsistentDomainError (252 weights here)
+    collisions = 0
+    for keys in _sweep_cross_sections():
+        cs = Config(**keys).cross_section()
+        build_extension(cs, default_weight(cs), 2.0)
+        lo, hi = admissible_window(cs)
+        lines = {0.5 * (cs.n + 1) - e.location - s
+                 for e in compute_poles(cs) for s in (0, 2, 4)}
+        weights = sorted(w for w in lines if lo < w < hi)
+        for gamma in weights + [lo + i * (hi - lo) / 40 for i in range(1, 40)]:
+            try:
+                build_extension(cs, gamma, 2.0)
+            except EndpointCollisionError:
+                collisions += 1
+                with pytest.raises(ConfigError, match=r"^/gamma: pole at "):
+                    Config(gamma=gamma, **keys)
+    assert collisions > 0
 
 
 def _without_exact(obj):

@@ -6,9 +6,10 @@ stencil must give), the lab's symmetrized matrix folded from a LIL-built
 one, scipy.linalg.solve_banded and banded_lu on bands built by sparse
 algebra, the dense angular-derivative matrix, the diagnostics
 functionals called on each state, the weighted norms formed
-full-height from fresh temporaries, the energy density and sup norm
-formed on the padded angular grid from fresh temporaries, a relaxational
-run that synthesises each state afresh, a snapshot CSV formatted one
+full-height from fresh temporaries, the energy's well and the sup norm
+formed on the padded angular grid and its gradient pairing summed over
+the channels, all from fresh temporaries, a relaxational run stepped
+outside run, a snapshot CSV formatted one
 value at a time, the angular FFTs as scipy.fftpack transforms, and the
 exponent scan as one least-squares fit per rate.  Every array comparison
 is on tobytes(), so a flipped sign of zero fails as well.
@@ -489,7 +490,22 @@ def _padded_values_and_gradient(u):
 
 
 def _plain_energy(u):
-    # the density formed and summed on the padded angular grid
+    # the well summed on the padded angular grid, the gradient pairing
+    # over the orthonormal channels by Parseval
+    grid = u.grid
+    plan = transform_plan(grid)
+    well = ((plan.to_physical(u.coeffs) ** 2 - 1.0) ** 2).sum(axis=1)
+    ut = lil_derivative_matrix(grid) @ u.coeffs
+    pair = (ut * ut + (u.coeffs * u.coeffs) * -grid.channel_lams).sum(axis=1)
+    L = float(grid.cs.circumference)
+    radial = (0.25 * L / plan.m) * well + 0.5 * np.exp(2.0 * grid.t) * pair
+    radial *= np.exp(-(grid.cs.n + 1) * grid.t)
+    return float(_trapezoid(radial, grid.t))
+
+
+def _padded_energy(u):
+    # the density 1/4 (u^2 - 1)^2 + 1/2 e^(2t) (u_t^2 + u_theta^2) formed
+    # and summed on the padded angular grid
     phys, ut, uy = _padded_values_and_gradient(u)
     e2t = np.exp(2.0 * u.grid.t)[:, np.newaxis]
     dens = 0.25 * (phys ** 2 - 1.0) ** 2 + 0.5 * (e2t * (ut * ut + uy * uy))
@@ -538,11 +554,11 @@ def test_run_rows_match_full_height_references(spec8, tall, equation):
         _assert_diagnostics_match(snap, spec.gamma, row=row)
 
 
-def _random_states(cs8, grid8, tall):
+def _random_states(cs8, grid8, tall, *wider):
     rng = np.random.default_rng(13)
     grids = [grid8, tall[0],
              ConeGrid(cs8, 0.5, 10, j_max=4),    # the cutoff's support covers every node
-             ConeGrid(cs8, 3.0, 60, j_max=1)]
+             ConeGrid(cs8, 3.0, 60, j_max=1), *wider]
     assert np.all(grids[2].omega < 1.0)
     for grid in grids:
         for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5):
@@ -554,23 +570,37 @@ def _random_states(cs8, grid8, tall):
 
 def test_norms_energy_and_sup_norm_match_full_height_references(cs8, grid8, spec8, tall):
     for u in _random_states(cs8, grid8, tall):
-        row, _ = _diagnostics_row(u, 0, spec8)
+        row = _diagnostics_row(u, 0, spec8)
         _assert_diagnostics_match(u, spec8.gamma, ks=range(5), ps=(2.0, 3.0), row=row)
 
 
-def test_energy_agrees_with_round_trip_definition(cs8, grid8, tall):
+def test_energy_agrees_with_round_trip_definition(cs8, grid8, tall, grid64):
     # the angular sum sees only mode 0 of the pairing, which projecting to
-    # the retained modes and back keeps: the two differ by rounding alone
+    # the retained modes and back keeps, and Parseval gives it from the
+    # modes: the two differ by rounding alone, on both transform paths
     worst = 0.0
-    for u in _random_states(cs8, grid8, tall):
+    for u in _random_states(cs8, grid8, tall, grid64):
         new, old = energy_functional(u), _round_trip_energy(u)
         worst = max(worst, abs(new - old) / abs(old))
     assert worst <= 1e-14
 
 
+def test_default_run_energy_matches_padded_grid_density():
+    # the gradient by Parseval moves a default run's energy column by
+    # rounding alone against the density summed on the padded grid
+    cfg = Config()
+    snaps, rows = run(cfg)
+    worst = 0.0
+    for snap in snaps:
+        row = rows[round(snap.time / cfg.dt)]
+        assert row["time"] == snap.time
+        want = _padded_energy(snap)
+        worst = max(worst, abs(row["energy"] - want) / abs(want))
+    assert worst <= 1e-14
+
+
 def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
-    # the step takes u^3 from the row's values; synthesising u afresh in
-    # every step must give the same bits
+    # the rows between the steps of a run must not change their bits
     grid, spec = tall
     cfg = Config(j_max=8, t_max=12.0, delta_t=0.04, T=0.01, snapshot_every=3,
                  equation="allen-cahn")
@@ -583,14 +613,6 @@ def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
         if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
             want.append(u)
     assert [s.coeffs.tobytes() for s in snaps] == [s.coeffs.tobytes() for s in want]
-
-
-def test_diagnostics_row_leaves_its_evaluation_intact(grid8, spec8):
-    # the next conserved step consumes the evaluation the row returns
-    u = initial_state(Config(j_max=8, t_max=3.0, delta_t=0.02), grid8, spec8)
-    _, evaluation = _diagnostics_row(u, 0, spec8)
-    fresh = transform_plan(grid8).synthesise(u.coeffs)
-    assert [a.tobytes() for a in evaluation] == [a.tobytes() for a in fresh]
 
 
 def test_grid_with_plan_and_stepper_dies_without_cycle_collector():
