@@ -76,7 +76,6 @@ from .assembly import (
     transform_plan,
 )
 from .evolve import (
-    PicardDivergenceError,
     Stepper,
     compatibility_check,
     double_well,

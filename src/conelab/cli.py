@@ -23,7 +23,7 @@ from numpy.linalg import LinAlgError
 from .asymptotics import ZeroModeError, fit_exponents, match_catalog
 from .cone_symbol import compute_bilaplacian_poles, compute_poles
 from .config import Config, ConfigError
-from .evolve import PicardDivergenceError, run
+from .evolve import run
 from .extensions import InconsistentDomainError
 from .mellin import ConeGrid, mellin_norm
 from .spectral_lab import lab_report
@@ -232,7 +232,7 @@ def dispatch(command: str, cfg: Config, out: str = ".") -> int:
             raise ConfigError(f"/geometry: '{command}' runs on circle "
                               "cross-sections only")
         return _COMMANDS[command](cfg, out)
-    except (PicardDivergenceError, InconsistentDomainError, LinAlgError) as e:
+    except (InconsistentDomainError, LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:     # OSError: out cannot be written

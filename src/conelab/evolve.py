@@ -6,24 +6,22 @@ implicit and the cubic transport div(3 u_n^2 grad u) is frozen at u_n,
 so a step is one banded solve per mode by numpy's OpenBLAS
 (banded_solve).  This is the linearly implicit scheme of Xu and Tang
 (SIAM J. Numer. Anal. 44, 2006) and Shen and Yang (DCDS 28, 2010),
-first order in dt.  picard_iters > 1 refines it by Picard sweeps that
-take the coupling 3 u_n^2 grad u_{n+1} at the new state; a step whose
-last sweep is still above picard_tol raises PicardDivergenceError.  The
-relaxational flow solves u_t = Lap u + f(u) with f explicit.
+first order in dt.  The relaxational flow solves u_t = Lap u + f(u)
+with f explicit.
 
-Freezing the coupling moves the final state by O(dt) against the
-converged sweeps: 1.7e-6 relative at the CLI defaults and 2.7e-2 at
-ic_amplitude = 4.  The scheme is not unconditionally energy stable:
-with j_max = 8, dt = 0.2 and ic_amplitude = 2 the energy rises by
-5.1e-7 in one step, where the converged sweeps do not.  One huge step
+Freezing the coupling at u_n rather than taking 3 u_n^2 grad u_{n+1} at
+the new state moves the final state by O(dt): 1.7e-6 relative at the
+CLI defaults and 2.7e-2 at ic_amplitude = 4.  The scheme is not
+unconditionally energy stable: with j_max = 8, dt = 0.2 and
+ic_amplitude = 2 the energy rises by 5.1e-7 in one step.  One huge step
 can return a wrong but finite field (dt = 10 from amplitude-50 data
 multiplies the energy by 6e4), which is caught only when a later
 diagnostics row or step finds a non-finite value.
 
 Steps are taken in increment form: with A = I + dt (Lap^2 + Lap) the
-sweep solves A delta = dt * rhs(u_n, delta_prev) and the tip and outer
-rows of the system are replaced by the boundary constraint rows
-delta_0 - delta_1 = -(u_0 - u_1) and
+step solves A delta = dt * rhs(u_n), rhs = Stepper.discrete_rhs, and
+the tip and outer rows of the system are replaced by the boundary
+constraint rows delta_0 - delta_1 = -(u_0 - u_1) and
 delta_N - r delta_{N-1} = -(u_N - r u_{N-1}), r = exp(-a_j dt_radial),
 so the updated state satisfies the boundary pattern exactly.  The
 increment form keeps constants as exact fixed points: for u = 0, 1, -1
@@ -35,7 +33,7 @@ A diagnostics row synthesises its state's values once, on the padded
 physical grid, for the double well and the sup norm; the gradient half
 of the energy comes from the mode coefficients (see energy_functional).
 A step synthesises what it reads itself: the conserved step its values
-and angular derivative, which its first sweep consumes (see
+and angular derivative, which its flux divergence consumes (see
 flux_divergence), and the relaxational step u for u^3 (see cubic_field).
 """
 
@@ -52,10 +50,6 @@ from .config import DEFAULTS, EQUATIONS, Config
 from .extensions import ExtensionSpec
 from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
                      mellin_norm, mellin_norms)
-
-
-class PicardDivergenceError(RuntimeError):
-    """The Picard sweeps ended above picard_tol; the time step is too large."""
 
 
 # the name the benchmark's workloads construct a configuration by
@@ -173,9 +167,9 @@ def implicit_bands(laps: RadialOperator, dt: float,
         # the stencil's columns as contiguous rows, like D's diagonals
         _unscaled_bands(D, P[modes].transpose(0, 2, 1).copy(), tip[modes], dt)
         # row equilibration by exact powers of two: the e^(4t) dynamic
-        # range otherwise costs the banded LU ~14 digits, which stalls
-        # the Picard iteration on solver rounding noise; power-of-two
-        # scales keep zero right-hand sides bitwise zero
+        # range otherwise costs the banded LU ~14 digits of the
+        # increment; power-of-two scales keep zero right-hand sides
+        # bitwise zero
         d[modes] = np.exp2(-np.round(np.log2(np.abs(D).max(axis=1))))
         D *= d[modes, np.newaxis]
         for k in range(-kl, kl + 1):
@@ -251,17 +245,17 @@ class Stepper:
     """
 
     def __init__(self, spec: ExtensionSpec, grid: ConeGrid, dt: float,
-                 equation: str = DEFAULTS["equation"],
-                 picard_iters: int = DEFAULTS["picard_iters"],
-                 picard_tol: float = DEFAULTS["picard_tol"]):
+                 equation: str = DEFAULTS["equation"], *bench_args):
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
+        # bench/workloads.py passes Config's two fixed one-sweep values last
+        if bench_args not in ((), (1, 1e-10)):
+            raise ValueError("Stepper takes at most the values (1, 1e-10) after "
+                             f"equation, not {bench_args}")
         self.spec = spec
         self.grid = grid
         self.dt = float(dt)
         self.equation = equation
-        self.picard_iters = picard_iters
-        self.picard_tol = picard_tol
         self.plan = transform_plan(grid)
         laps = laplacian_suite(grid, spec)
         self.lap = FieldOperator(laps)
@@ -284,9 +278,12 @@ class Stepper:
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The increment, in Fortran order: each mode's columns are solved in place.
 
-        w + delta is then C-ordered like w, as numpy orders the result of
-        mixed layouts; an F-ordered state would change the bits of the
-        products and reductions taken over it.
+        The caller binds it to a name before it forms w + delta: numpy
+        then allocates the sum in C order like w.  An unnamed increment
+        is a temporary that numpy's elision (above 256 KiB) reuses for
+        the sum in place, which leaves the state F-ordered, and an
+        F-ordered state changes the bits of the products and reductions
+        taken over it.
         """
         b = np.empty(rhs.shape, order="F")
         # a mode's columns of b are rows of b.T, one contiguous block
@@ -300,96 +297,53 @@ class Stepper:
         rhs[0, :] = -(w[0, :] - w[1, :])
         rhs[-1, :] = -(w[-1, :] - self.tip_ratio * w[-2, :])
 
-    def step(self, u: FieldState,
-             f: Optional[Callable[[FieldState], FieldState]] = None,
-             forcing: Optional[Callable[[float], np.ndarray]] = None) -> FieldState:
-        """Advance u by dt."""
-        # an overflow or invalid value here ends in a non-finite right-hand
-        # side or FieldState, either of which raises LinAlgError
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.equation == "cahn-hilliard":
-                return self._ch_step(u, forcing)
-            return self._ac_step(u, f, forcing)
-
-    def _ch_step(self, u: FieldState, forcing) -> FieldState:
-        # conserved flow.  The cubic transport enters in divergence form
-        # div(3 u_n^2 grad(u_n + delta)), staggered radially: the weighted
-        # radial sum telescopes, so mass moves only through the two
-        # boundary fluxes, which the constraint rows pin to zero.
-        dt = self.dt
-        w = u.coeffs
-        lw = self.laplace(w)
-        base = -(self.laplace(lw) + lw)
-        del lw
-        if forcing is not None:
-            base = base + np.asarray(forcing(u.time + dt))
-        evaluation = self.plan.synthesise(w)
-        # the first sweep overwrites the evaluation; later ones need u_n
-        values = evaluation[0].copy() if self.picard_iters > 1 else evaluation[0]
-        transport = _transport(values)
-
-        def sweep(z: np.ndarray, evaluation=None) -> np.ndarray:
-            rhs = flux_divergence(transport, z, self.grid, evaluation)
-            rhs += base
-            rhs *= dt
-            self._constraint_rhs(rhs, w)
-            return self._solve(rhs)
-
-        # the linearly implicit step: the sweep at delta = 0, where w + 0
-        # synthesises to the bits of w, so it consumes u_n's evaluation
-        # and never reads z
-        delta = sweep(w, evaluation)
-        if self.picard_iters > 1:
-            delta = self._picard(sweep, w, delta)
-        return u.like(w + delta, time=u.time + dt)
-
-    def _picard(self, sweep, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Refine the first sweep's increment until picard_tol, or raise."""
-        scale = max(1.0, float(np.max(np.abs(w))))
-        res = float(np.max(np.abs(delta))) / scale
-        for _ in range(self.picard_iters - 1):
-            if res <= self.picard_tol:
-                return delta
-            fresh = sweep(w + delta)
-            change = fresh - delta
-            res = float(np.max(np.abs(change, out=change))) / scale
-            delta = fresh
-        if res > self.picard_tol:
-            raise PicardDivergenceError(
-                f"Picard residual {res:.3e} is above picard_tol after "
-                f"{self.picard_iters} sweeps; reduce dt or raise picard_iters")
-        return delta
-
     def discrete_rhs(self, u: FieldState,
                      f: Optional[Callable[[FieldState], FieldState]] = None) -> np.ndarray:
         """Spatial right-hand side the scheme integrates, at the state u.
 
-        Useful for manufactured forcing: g(t) = d_t u* - discrete_rhs(u*)
-        isolates the temporal error of the stepping.
+        step solves A delta = dt * (discrete_rhs(u, f) + forcing) with the
+        constraint rows, so the two agree by construction and manufactured
+        forcing g(t) = d_t u* - discrete_rhs(u*) isolates the temporal
+        error of the stepping.  The conserved flow's is
+        -(Lap^2 + Lap) u + div(3 u^2 grad u): the cubic transport enters in
+        divergence form, staggered radially, so its weighted radial sum
+        telescopes and mass moves only through the two boundary fluxes,
+        which the constraint rows pin to zero.  Its values and angular
+        derivative are synthesised once and consumed by flux_divergence,
+        3 u^2 taken from the values before they are overwritten.  The
+        relaxational flow's is Lap u + f(u).
         """
         w = u.coeffs
         if self.equation == "cahn-hilliard":
             lw = self.laplace(w)
+            rhs = -(self.laplace(lw) + lw)
+            del lw
             evaluation = self.plan.synthesise(w)
-            return -(self.laplace(lw) + lw) + flux_divergence(
-                _transport(evaluation[0]), w, self.grid, evaluation)
+            rhs += flux_divergence(_transport(evaluation[0]), w, self.grid, evaluation)
+            return rhs
         rhs = self.laplace(w)
         if f is not None:
             rhs = rhs + f(u).coeffs
         return rhs
 
-    def _ac_step(self, u: FieldState, f, forcing) -> FieldState:
+    def step(self, u: FieldState,
+             f: Optional[Callable[[FieldState], FieldState]] = None,
+             forcing: Optional[Callable[[float], np.ndarray]] = None) -> FieldState:
+        """Advance u by dt: one solve of dt * (discrete_rhs(u, f) + forcing(t + dt))."""
         dt = self.dt
         w = u.coeffs
-        rhs = self.laplace(w)
-        if f is not None:
-            rhs = rhs + f(u).coeffs
-        if forcing is not None:
-            rhs = rhs + np.asarray(forcing(u.time + dt))
-        rhs = dt * rhs
-        self._constraint_rhs(rhs, w)
-        delta = self._solve(rhs)
-        return u.like(w + delta, time=u.time + dt)
+        # an overflow or invalid value here ends in a non-finite right-hand
+        # side or FieldState, either of which raises LinAlgError
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = self.discrete_rhs(u, f)
+            if forcing is not None:
+                rhs += np.asarray(forcing(u.time + dt))
+            rhs *= dt
+            self._constraint_rhs(rhs, w)
+            # bound to a name, so that w + delta is a new C-ordered array
+            # (see _solve)
+            delta = self._solve(rhs)
+            return u.like(w + delta, time=u.time + dt)
 
 
 def mass_functional(u: FieldState) -> float:
@@ -542,8 +496,7 @@ def run(config: Config, initial: Optional[FieldState] = None,
     if u.grid is not grid:
         raise ValueError("initial state must live on the run grid; "
                          "pass context=(spec, grid) along with it")
-    stepper = Stepper(spec, grid, config.dt, config.equation,
-                      config.picard_iters, config.picard_tol)
+    stepper = Stepper(spec, grid, config.dt, config.equation)
     compatibility_check(u, spec, stepper.tip_ratio)
     f = double_well if config.equation == "allen-cahn" else None
     snapshots = [u.copy()]

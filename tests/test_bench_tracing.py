@@ -77,8 +77,7 @@ def test_bench_setup_builds_the_program_context(tmp_path, monkeypatch):
         config = wl.cfg if name == "cli-defaults" else wl.config
         bench_spec, bench_grid, bench_stepper = wl.setup(tracer)
         spec, grid = config.context()
-        stepper = Stepper(spec, grid, config.dt, config.equation,
-                          config.picard_iters, config.picard_tol)
+        stepper = Stepper(spec, grid, config.dt, config.equation)
         assert bench_spec.inner_bc == spec.inner_bc, name
         assert bench_grid.t.tobytes() == grid.t.tobytes(), name
         assert bench_stepper.tip_ratio.tobytes() == stepper.tip_ratio.tobytes(), name

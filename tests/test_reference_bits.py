@@ -398,29 +398,21 @@ def test_row_blocks_match_full_height(monkeypatch, request, block_bytes,
 
 
 @pytest.mark.parametrize("grid_name,spec_name", [("grid8", "spec8"), ("grid64", "spec64")])
-def test_picard_step_matches_full_height_sweeps(request, grid_name, spec_name):
-    # every Picard sweep takes 3 u_n^2 from u_n's values, which the first
-    # sweep's row blocks must not have overwritten
+def test_step_matches_full_height_reference(request, grid_name, spec_name):
+    # the step takes 3 u_n^2 from u_n's values, which its flux divergence's
+    # row blocks then overwrite; the result must be the bits of the
+    # full-height arithmetic on fresh temporaries
     grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
-    st = Stepper(spec, grid, 1e-3, "cahn-hilliard", 8)
+    st = Stepper(spec, grid, 1e-3, "cahn-hilliard")
     u = initial_state(Config(j_max=grid.j_max, t_max=3.0, delta_t=0.02,
                              ic_amplitude=0.5), grid, spec)
     w = u.coeffs
     lw = st.laplace(w)
     base = -(st.laplace(lw) + lw)
     cubic = 3.0 * st.plan.to_physical(w) ** 2
-    sweeps = []
-
-    def sweep(z):
-        sweeps.append(z)
-        rhs = _full_height_flux_divergence(cubic, z, grid)
-        rhs += base
-        rhs *= st.dt
-        st._constraint_rhs(rhs, w)
-        return st._solve(rhs)
-
-    delta = st._picard(sweep, w, sweep(w))
-    assert len(sweeps) > 2
+    rhs = st.dt * (base + _full_height_flux_divergence(cubic, w, grid))
+    st._constraint_rhs(rhs, w)
+    delta = st._solve(rhs)
     assert st.step(u).coeffs.tobytes() == (w + delta).tobytes()
 
 
