@@ -119,16 +119,17 @@ def _cmd_domain(cfg: Config, out: str) -> int:
 
 
 def _cmd_simulate(cfg: Config, out: str) -> int:
-    snaps, diag = run(cfg)
+    spec, grid = cfg.context()
+    snaps, diag = run(cfg, context=(spec, grid))
     header = ("step", "time", "mass", "energy", "supnorm", "norm0", "norm2")
     rows = [[d[k] for k in header] for d in diag]
     _write_csv(os.path.join(out, "diagnostics.csv"), header, rows)
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    template = _snapshot_template(snaps[0].grid)
+    template = _snapshot_template(grid)
     for i, snap in enumerate(snaps):
         _write_text(os.path.join(snap_dir, f"snap_{i:04d}.csv"),
-                    _snapshot_text(snap, template))
+                    _snapshot_text(snap, spec, template))
     return 0
 
 
@@ -142,9 +143,10 @@ def _snapshot_template(grid) -> str:
     return "".join(f"{t},{j},{k},%.17g\n" for j, k in grid.channels for t in t_nodes)
 
 
-def _snapshot_text(snap, template: Optional[str] = None) -> str:
+def _snapshot_text(snap, spec, template: Optional[str] = None) -> str:
     """The snapshot CSV: a '# {meta}' line, a header, one row per node and channel.
 
+    The meta line's gamma and p are the run's, from its extension spec.
     Floats use _fmt's "%.17g", so the bytes match the per-value format.
     template is _snapshot_template(snap.grid), built here when not given.
     """
@@ -154,8 +156,8 @@ def _snapshot_text(snap, template: Optional[str] = None) -> str:
         "t_max": grid.t_max,
         "n_radial": grid.n_radial,
         "j_max": grid.j_max,
-        "gamma": snap.gamma,
-        "p": snap.p,
+        "gamma": spec.gamma,
+        "p": spec.p,
         "channels": [[j, k] for j, k in grid.channels],
     }
     if template is None:
@@ -165,12 +167,13 @@ def _snapshot_text(snap, template: Optional[str] = None) -> str:
 
 
 def _cmd_norms(cfg: Config, out: str) -> int:
-    snaps, _ = run(cfg, diagnostics=False)
+    spec, grid = cfg.context()
+    snaps, _ = run(cfg, context=(spec, grid), diagnostics=False)
     rows = []
     for snap in snaps:
         for k in range(cfg.norms_k_max + 1):
-            val = mellin_norm(snap, k)
-            rows.append([snap.time, k, snap.gamma, snap.p, val])
+            val = mellin_norm(snap, k, spec.gamma, spec.p)
+            rows.append([snap.time, k, spec.gamma, spec.p, val])
     _write_csv(os.path.join(out, "norms.csv"),
                ("time", "k", "gamma", "p", "value"), rows)
     return 0

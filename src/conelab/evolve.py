@@ -46,7 +46,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .assembly import (FieldOperator, RadialOperator, block_rows,
                        cubic_field, flux_divergence, laplacian_suite,
                        mode_slices, transform_plan)
-from .config import DEFAULTS, EQUATIONS, Config
+from .config import DEFAULTS, EQUATIONS, Config, ConfigError
 from .extensions import ExtensionSpec
 from .mellin import (ConeGrid, FieldState, _trapezoid, constant_state,
                      mellin_norm, mellin_norms)
@@ -407,8 +407,7 @@ def compatibility_check(u: FieldState, spec: ExtensionSpec,
     ValueError when the larger residual, relative to max(1, max |u|),
     is above 1e-8; returns it otherwise.
     """
-    gamma = u.gamma if u.gamma is not None else spec.gamma
-    norm = mellin_norm(u, 2, gamma)
+    norm = mellin_norm(u, 2, spec.gamma, spec.p)
     if not np.isfinite(norm):
         raise ValueError("initial data has no finite order-2 norm")
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
@@ -420,7 +419,11 @@ def compatibility_check(u: FieldState, spec: ExtensionSpec,
     return res
 
 
-def _bump_envelope(t: np.ndarray, lo: float = 1.0, hi: float = 3.0) -> np.ndarray:
+_BUMP_SUPPORT = (1.0, 3.0)     # the open t-interval the bump initial data lives on
+
+
+def _bump_envelope(t: np.ndarray) -> np.ndarray:
+    lo, hi = _BUMP_SUPPORT
     s = (t - lo) / (hi - lo)
     out = np.zeros_like(t)
     inside = (s > 0) & (s < 1)
@@ -429,16 +432,18 @@ def _bump_envelope(t: np.ndarray, lo: float = 1.0, hi: float = 3.0) -> np.ndarra
     return out
 
 
-def initial_state(config: Config, grid: ConeGrid,
-                  spec: ExtensionSpec) -> FieldState:
-    """Seeded interior-bump data (or zero / constant), tip-compatible."""
-    gamma = spec.gamma
+def initial_state(config: Config, grid: ConeGrid) -> FieldState:
+    """Seeded interior-bump data on 1 < t < 3 (or zero / constant), tip-compatible."""
     if config.ic_kind == "zero":
-        return FieldState.zeros(grid, gamma=gamma, p=spec.p)
+        return FieldState.zeros(grid)
     if config.ic_kind == "constant":
-        return constant_state(grid, config.ic_value, gamma=gamma, p=spec.p)
+        return constant_state(grid, config.ic_value)
+    lo, hi = _BUMP_SUPPORT
+    if config.t_max < hi:
+        raise ConfigError(f"/t_max: the bump initial data lives on {lo:g} < t < {hi:g}, "
+                          f"so it needs t_max >= {hi:g}, not {config.t_max:g}")
     rng = np.random.default_rng(config.seed)
-    u = FieldState.zeros(grid, gamma=gamma, p=spec.p)
+    u = FieldState.zeros(grid)
     env = _bump_envelope(grid.t)
     for c, (j, _) in enumerate(grid.channels):
         if j <= config.ic_modes:
@@ -459,7 +464,7 @@ def _diagnostics_row(u: FieldState, step: int, spec: ExtensionSpec) -> dict:
     # an overflow or invalid value here ends in a non-finite row, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         mass = mass_functional(u)
-        norm0, norm2 = mellin_norms(u, 2, spec.gamma)
+        norm0, norm2 = mellin_norms(u, 2, spec.gamma, spec.p)
         values = transform_plan(u.grid).to_physical(u.coeffs)
         row = {
             "step": step,
@@ -485,14 +490,15 @@ def run(config: Config, initial: Optional[FieldState] = None,
     order-2 weighted norms) are recorded every step unless diagnostics
     is False, in which case the row list is empty.  context, when
     given, is a prebuilt (spec, grid) pair, config.context() otherwise;
-    an initial state must live on that grid.  The flows step on circle
+    an initial state must live on that grid, and the run measures it and
+    every later state with spec's gamma and p.  The flows step on circle
     cross-sections only, whose angular transform the step uses.
     """
     if config.geometry != "circle":
         raise ValueError("evolve.run steps on circle cross-sections only, "
                          f"not on geometry {config.geometry!r}")
     spec, grid = context or config.context()
-    u = initial if initial is not None else initial_state(config, grid, spec)
+    u = initial if initial is not None else initial_state(config, grid)
     if u.grid is not grid:
         raise ValueError("initial state must live on the run grid; "
                          "pass context=(spec, grid) along with it")

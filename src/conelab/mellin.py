@@ -4,6 +4,8 @@ The collar x in [x_min, 1] over the cross-section is discretized on a
 uniform grid in the log-radial variable t = -log x, so the tip sits at
 t_max and the outer rim at t = 0.  Fields are stored as radial-node by
 channel coefficient arrays, one channel per cross-section eigenfunction.
+A field is its coefficients on a grid at a time; the norms take the
+weight gamma and the index p as arguments, a run's from its ExtensionSpec.
 
 The order-k weighted norm measures the derivative stack (x d_x)^i Lam^m,
 i + m <= k, where Lam is the modal multiplier sqrt(-lambda_j) standing in
@@ -156,16 +158,14 @@ class ConeGrid:
 class FieldState:
     """Coefficients of a field on a ConeGrid, with a time stamp.
 
-    coeffs[i, c] is the channel-c coefficient at radial node i.  The
-    weight gamma and integrability p ride along so norm-based diagnostics
-    can default to the run's own parameters.
+    coeffs[i, c] is the channel-c coefficient at radial node i.  A state
+    carries no weight or integrability index: a run measures its states
+    with its ExtensionSpec's gamma and p.
     """
 
     grid: ConeGrid
     coeffs: np.ndarray
     time: float = 0.0
-    gamma: Optional[float] = None
-    p: float = 2.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -177,39 +177,35 @@ class FieldState:
             raise LinAlgError("field coefficients must be finite")
 
     @classmethod
-    def zeros(cls, grid: ConeGrid, **kw) -> "FieldState":
-        return cls(grid, np.zeros((grid.n_nodes, grid.n_channels)), **kw)
+    def zeros(cls, grid: ConeGrid) -> "FieldState":
+        return cls(grid, np.zeros((grid.n_nodes, grid.n_channels)))
 
     def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.coeffs.copy(), time=self.time,
-                          gamma=self.gamma, p=self.p)
+        return FieldState(self.grid, self.coeffs.copy(), time=self.time)
 
     def like(self, coeffs: np.ndarray, time: Optional[float] = None) -> "FieldState":
-        """New state on the same grid carrying this state's metadata."""
-        return FieldState(self.grid, coeffs,
-                          time=self.time if time is None else time,
-                          gamma=self.gamma, p=self.p)
+        """New state on the same grid, at this state's time unless given."""
+        return FieldState(self.grid, coeffs, time=self.time if time is None else time)
 
     def channel(self, j: int, k: int = 0) -> np.ndarray:
         return self.coeffs[:, self.grid.channel_index(j, k)]
 
-    def physical_values(self) -> np.ndarray:
-        """Field values at (radial node, cross-section quadrature node)."""
-        return self.coeffs @ self.grid.synthesis_matrix().T
-
 
 def monomial_state(grid: ConeGrid, exponent: float, mode: int = 0, branch: int = 0,
-                   log_power: int = 0, amplitude: float = 1.0, **kw) -> FieldState:
+                   log_power: int = 0, amplitude: float = 1.0) -> FieldState:
     """Sample amplitude * x^exponent * log^log_power x on a single channel."""
-    u = FieldState.zeros(grid, **kw)
+    u = FieldState.zeros(grid)
     prof = amplitude * np.exp(-float(exponent) * grid.t) * (-grid.t) ** log_power
     u.coeffs[:, grid.channel_index(mode, branch)] = prof
     return u
 
 
-def constant_state(grid: ConeGrid, value: float = 1.0, **kw) -> FieldState:
+def constant_state(grid: ConeGrid, value: float = 1.0, *, gamma=None, p=None) -> FieldState:
     """The constant field; channel-0 coefficient is value * sqrt(area)."""
-    u = FieldState.zeros(grid, **kw)
+    # gamma and p do nothing: bench/workloads.py still passes them
+    # (ROADMAP item 3 deletes them with the other bench-only names)
+    del gamma, p
+    u = FieldState.zeros(grid)
     u.coeffs[:, grid.channel_index(0, 0)] = value * np.sqrt(float(grid.cs.area()))
     return u
 
@@ -246,8 +242,7 @@ def _p_power_radial(grid: ConeGrid, w: np.ndarray, p: float,
     return vals @ np.asarray(grid.cs.weights)
 
 
-def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
-                p: Optional[float] = None) -> float:
+def mellin_norm(u: FieldState, k: int, gamma: float, p: float) -> float:
     """Discrete weighted Sobolev norm of order k and weight gamma.
 
     Parameters
@@ -255,10 +250,10 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
     u : FieldState
     k : int
         Derivative order, 0 through 4.
-    gamma : float, optional
-        Weight; falls back to the state's own metadata.
-    p : float, optional
-        Integrability index; falls back to the state's own.  p = 2
+    gamma : float
+        Weight; a run's is its ExtensionSpec's.
+    p : float
+        Integrability index, the ExtensionSpec's in a run.  p = 2
         integrates in coefficient space, any other p >= 1 goes through
         cross-section quadrature.
 
@@ -273,8 +268,7 @@ def mellin_norm(u: FieldState, k: int = 0, gamma: Optional[float] = None,
     return mellin_norms(u, k, gamma, p)[1]
 
 
-def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
-                 p: Optional[float] = None) -> Tuple[float, float]:
+def mellin_norms(u: FieldState, k: int, gamma: float, p: float) -> Tuple[float, float]:
     """The order-0 and order-k norms of mellin_norm, from one pass.
 
     The stack of every order starts with the order-0 term, so the
@@ -285,12 +279,6 @@ def mellin_norms(u: FieldState, k: int, gamma: Optional[float] = None,
     few rows can round differently from the same rows of a taller one.
     """
     grid = u.grid
-    if gamma is None:
-        gamma = u.gamma
-    if gamma is None:
-        raise ValueError("no weight gamma given and the state carries none")
-    if p is None:
-        p = u.p
     if not 0 <= k <= 4:
         raise ValueError("derivative order k must lie in 0..4")
     if p < 1:

@@ -89,7 +89,7 @@ def test_criterion_4_membership_iff_norm_growth(capsys):
     for a in (-2.0, -1.0, 0.0, 1.0):
         for gamma in (-0.9, -0.5, -0.1):
             predicted = membership_test(a, 0, gamma, 2.0, 1)
-            norms = [mellin_norm(monomial_state(grids[tm], a), 0, gamma)
+            norms = [mellin_norm(monomial_state(grids[tm], a), 0, gamma, 2.0)
                      for tm in (5.0, 10.0, 15.0)]
             diverges = norms[2] / norms[1] > 1.3
             agree += (predicted == (not diverges))
@@ -105,14 +105,15 @@ def _splitting_error(cs4, spec4, n_radial, seed):
     co = np.zeros((grid.n_nodes, grid.n_channels))
     for c in range(grid.n_channels):
         co[:, c] = 0.05 * rng.uniform(-1.0, 1.0) * env
-    u = FieldState(grid, co, gamma=spec4.gamma)
+    u = FieldState(grid, co)
     lap = FieldOperator(laplacian_suite(grid, spec4))
     a_freeze, F = nonlinearity(u, spec4)
     lhs = a_freeze(u).coeffs - F.coeffs
     cub = cubic_field(u).coeffs
     rhs = lap.apply(lap.apply(co)) + lap.apply(co - cub)
     diff = u.like(lhs - rhs)
-    return mellin_norm(diff, 0, spec4.gamma) / mellin_norm(u, 0, spec4.gamma)
+    return (mellin_norm(diff, 0, spec4.gamma, spec4.p)
+            / mellin_norm(u, 0, spec4.gamma, spec4.p))
 
 
 def test_criterion_5_splitting_identity(capsys):

@@ -162,7 +162,7 @@ def test_gradient_pairing_analytic_constant(cs8):
 
 def test_cubic_field_on_constant(grid8):
     u = constant_state(grid8, -2.0)
-    vals = cubic_field(u).physical_values()
+    vals = transform_plan(grid8).to_physical(cubic_field(u).coeffs)
     assert np.max(np.abs(vals - (-8.0))) < 1e-12
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conelab import Config, config, evolve
+from conelab import Config, config, constant_state, evolve
 from conelab.cli import ConfigError, dispatch, main, parse_config
 
 FAST = {"t_max": 3.0, "j_max": 8, "T": 0.02}
@@ -154,6 +154,13 @@ def test_schema_serves_the_benchmark_calls(tmp_path):
     for extra in [(8, 1e-10), (1, 1e-30), (1,), (1, 1e-10, 0)]:
         with pytest.raises(ValueError, match="at most the values"):
             evolve.Stepper(spec, grid, 1e-3, "cahn-hilliard", *extra)
+    # and passes the run's gamma and p to constant_state, which no state
+    # carries: they change nothing, and no other keyword is taken
+    for v in (0.0, 1.0, -1.0):
+        assert (constant_state(grid, v, gamma=spec.gamma, p=spec.p).coeffs.tobytes()
+                == constant_state(grid, v).coeffs.tobytes())
+    with pytest.raises(TypeError):
+        constant_state(grid, 1.0, seed=1)
 
 
 def test_parse_config_reads_overrides(tmp_path):
@@ -334,6 +341,32 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_a_grid_that_cuts_the_bump_is_a_t_max_error(tmp_path, capsys, monkeypatch):
+    # the bump lives on 1 < t < 3; a shorter grid is refused before any
+    # stepper is built, and a run without the bump still runs on it
+    built = []
+    stepper = evolve.Stepper
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return stepper(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "Stepper", counted)
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps({"t_max": 2.0}))
+    assert main(["simulate", "--config", str(cut), "--out", str(tmp_path / "o1")]) == 1
+    assert capsys.readouterr().err == (
+        "error: /t_max: the bump initial data lives on 1 < t < 3, "
+        "so it needs t_max >= 3, not 2\n")
+    assert built == []
+    for i, body in enumerate([{"t_max": 2.0, "ic_kind": "zero"}, {"t_max": 3.0}]):
+        path = tmp_path / f"runs{i}.json"
+        path.write_text(json.dumps(body))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / f"o{i + 2}")]) == 0
+    assert len(built) == 2
+
+
 def test_weight_on_a_pole_line_is_a_config_error(tmp_path, capsys):
     # L = 5 pi / 2: gamma = -0.6 puts q_2^+ = 1.6 on the upper line of I_gamma
     given = tmp_path / "given.json"
@@ -406,21 +439,23 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("command", ["simulate", "norms", "asympt"])
 def test_an_invocation_builds_its_circle_once(tmp_path, monkeypatch, command):
     # the parsed config is the run's config, so a given weight's check and
-    # the run share one cross-section
-    calls = []
-    make_circle = config.make_circle
+    # the run share one cross-section, and the run and its files one
+    # extension spec
+    calls = {"make_circle": 0, "build_extension": 0}
+    for name in calls:
+        original = getattr(config, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return make_circle(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("conelab")
-                and getattr(module, "make_circle", None) is make_circle):
-            monkeypatch.setattr(module, "make_circle", counted)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("conelab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
     path = _write_cfg(tmp_path, gamma=-0.25)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 1
+    assert calls == {"make_circle": 1, "build_extension": 1}
 
 
 def test_an_unwritable_output_directory_is_an_error(tmp_path, capsys):

@@ -11,8 +11,8 @@ from numpy.linalg import LinAlgError
 from conelab import (ConeGrid, Config, ConfigError, FieldState, Stepper, TransformPlan, assembly,
                      build_extension, compatibility_check, cone_symbol, constant_state,
                      default_weight, double_well, energy_functional, evolve,
-                     initial_state, make_circle, mass_functional,
-                     parse_config, run)
+                     initial_state, make_circle, mass_functional, mellin_norm,
+                     parse_config, run, transform_plan)
 from conelab.mellin import _trapezoid
 
 CFG = dict(j_max=8, t_max=3.0, delta_t=0.02)
@@ -49,7 +49,7 @@ def test_run_config_reports_schema_errors():
 
 def test_double_well_on_constants(grid8):
     u = constant_state(grid8, 0.5)
-    vals = double_well(u).physical_values()
+    vals = transform_plan(grid8).to_physical(double_well(u).coeffs)
     assert vals == pytest.approx(0.375 * np.ones_like(vals), abs=1e-12)
     for v in (-1.0, 0.0, 1.0):
         w = double_well(constant_state(grid8, v))
@@ -97,7 +97,7 @@ def test_stepped_state_is_c_contiguous(request, size, equation):
     else:
         cfg = Config(equation=equation)
         spec, grid = cfg.context()
-    u = initial_state(cfg, grid, spec)
+    u = initial_state(cfg, grid)
     st = Stepper(spec, grid, 1e-3, equation)
     f = double_well if equation == "allen-cahn" else None
     for _ in range(2):
@@ -116,27 +116,26 @@ def test_relaxational_constant_matches_scalar_euler(grid8, spec8):
     for _ in range(20):
         u = st.step(u, f=double_well)
         c = c + dt * (c - c ** 3)
-    got = u.physical_values()[5, 0]
+    got = transform_plan(grid8).to_physical(u.coeffs)[5, 0]
     assert got == pytest.approx(c, rel=1e-12)
     assert u.time == pytest.approx(0.02)
 
 
-def test_initial_state_kinds(grid8, spec8):
-    zero = initial_state(Config(ic_kind="zero", **CFG), grid8, spec8)
+def test_initial_state_kinds(grid8):
+    zero = initial_state(Config(ic_kind="zero", **CFG), grid8)
     assert np.all(zero.coeffs == 0.0)
-    const = initial_state(Config(ic_kind="constant", ic_value=0.4, **CFG),
-                          grid8, spec8)
-    assert const.physical_values() == pytest.approx(0.4, abs=1e-14)
+    const = initial_state(Config(ic_kind="constant", ic_value=0.4, **CFG), grid8)
+    assert transform_plan(grid8).to_physical(const.coeffs) == pytest.approx(0.4, abs=1e-14)
     cfg = Config(ic_kind="bump", ic_modes=3, seed=11, **CFG)
-    bump = initial_state(cfg, grid8, spec8)
-    again = initial_state(cfg, grid8, spec8)
+    bump = initial_state(cfg, grid8)
+    again = initial_state(cfg, grid8)
     assert np.array_equal(bump.coeffs, again.coeffs)
     # bump support stays away from both ends and high modes stay empty
     assert np.all(bump.coeffs[0, :] == 0.0) and np.all(bump.coeffs[-1, :] == 0.0)
     high = [c for c, (j, _) in enumerate(grid8.channels) if j > 3]
     assert np.max(np.abs(bump.coeffs[:, high])) == 0.0
     with pytest.raises(ValueError):
-        initial_state(Config(ic_kind="plume", **CFG), grid8, spec8)
+        initial_state(Config(ic_kind="plume", **CFG), grid8)
 
 
 def test_mass_and_energy_oracles(grid8):
@@ -150,7 +149,7 @@ def test_mass_and_energy_oracles(grid8):
 
 
 def test_compatibility_check(grid8, spec8):
-    u = initial_state(Config(**CFG), grid8, spec8)
+    u = initial_state(Config(**CFG), grid8)
     ratio = Stepper(spec8, grid8, 1e-3).tip_ratio
     assert compatibility_check(u, spec8, ratio) < 1e-8
     bad = u.copy()
@@ -196,7 +195,8 @@ def test_relaxational_run_moves_toward_well(cs8):
     c = 0.3
     for _ in range(20):
         c = c + 1e-3 * (c - c ** 3)
-    assert snaps[-1].physical_values()[3, 0] == pytest.approx(c, rel=1e-10)
+    values = transform_plan(snaps[-1].grid).to_physical(snaps[-1].coeffs)
+    assert values[3, 0] == pytest.approx(c, rel=1e-10)
     assert diags[-1]["mass"] > diags[0]["mass"]
 
 
@@ -261,8 +261,8 @@ def test_rows_use_one_angular_grid(monkeypatch, grid8, spec8, equation):
                         _counted(calls, TransformPlan.to_physical, "transform"))
     monkeypatch.setattr(TransformPlan, "to_modes",
                         _counted(calls, TransformPlan.to_modes, "transform"))
-    monkeypatch.setattr(FieldState, "physical_values",
-                        _counted(calls, FieldState.physical_values, "quadrature"))
+    monkeypatch.setattr(ConeGrid, "synthesis_matrix",
+                        _counted(calls, ConeGrid.synthesis_matrix, "quadrature"))
     monkeypatch.setattr(evolve, "_diagnostics_row",
                         tallied(evolve._diagnostics_row, per_row))
     monkeypatch.setattr(Stepper, "step", tallied(Stepper.step, per_step))
@@ -337,7 +337,7 @@ def test_conserved_step_peak_allocation(default_context):
     # full-height arrays took 10.3 fields beyond the two synthesised ones
     spec, grid = default_context
     stepper = Stepper(spec, grid, 1e-3)
-    u = initial_state(Config(), grid, spec)
+    u = initial_state(Config(), grid)
     synthesised = 2 * stepper.plan.m / grid.n_channels
     assert _peak_fields(lambda: stepper.step(u), grid) <= 8.0 + synthesised
 
@@ -391,11 +391,30 @@ def test_warm_run_takes_few_page_faults(src_env):
 
 def test_run_rejects_state_from_another_grid(cs8, grid8, spec8):
     cfg = Config(T=0.005, dt=1e-3, **CFG)
-    u0 = initial_state(cfg, grid8, spec8)
+    u0 = initial_state(cfg, grid8)
     with pytest.raises(ValueError):
         run(cfg, initial=u0)  # same layout, but not the run's own grid
     snaps, _ = run(cfg, initial=u0, context=(spec8, grid8))
     assert snaps[-1].time == pytest.approx(0.005)
+
+
+def test_run_measures_any_initial_state_with_its_spec():
+    # a state carries no weight: a plain FieldState holding initial_state's
+    # coefficients gives the same run, and every snapshot is measured with
+    # the spec's gamma and p
+    cfg = Config(p=3.0, j_max=8, t_max=3.0, T=0.003)
+    spec, grid = cfg.context()
+    seeded = initial_state(cfg, grid)
+    runs = [run(cfg, initial=u, context=(spec, grid))
+            for u in (seeded, FieldState(grid, seeded.coeffs.copy()))]
+    (snaps, rows), (plain_snaps, plain_rows) = runs
+    assert [{k: float(v).hex() for k, v in r.items()} for r in rows] == \
+        [{k: float(v).hex() for k, v in r.items()} for r in plain_rows]
+    assert [(s.time, s.coeffs.tobytes()) for s in snaps] == \
+        [(s.time, s.coeffs.tobytes()) for s in plain_snaps]
+    row_at = {row["time"]: row for row in rows}
+    for snap in snaps + plain_snaps:
+        assert mellin_norm(snap, 2, spec.gamma, spec.p) == row_at[snap.time]["norm2"]
 
 
 @pytest.mark.parametrize("equation", ["cahn-hilliard", "allen-cahn"])
@@ -416,7 +435,7 @@ def test_default_step_is_one_solve_per_mode(monkeypatch, grid8, spec8, equation)
 
     counted("flux_divergence")
     counted(routine)
-    u0 = initial_state(Config(equation=equation, **CFG), grid8, spec8)
+    u0 = initial_state(Config(equation=equation, **CFG), grid8)
     Stepper(spec8, grid8, 1e-3, equation).step(u0, f=double_well)
     assert calls == {"flux_divergence": int(equation == "cahn-hilliard"),
                      routine: grid8.j_max + 1}
@@ -437,7 +456,7 @@ def test_wellposedness_smoke(grid8, spec8):
     # continuous dependence: perturbing the data by delta moves the end
     # state by a gap linear in delta, and delta = 0 changes no bit
     cfg = Config(T=0.01, dt=1e-3, seed=7, ic_amplitude=0.03, **CFG)
-    u0 = initial_state(cfg, grid8, spec8)
+    u0 = initial_state(cfg, grid8)
     bump = evolve._bump_envelope(grid8.t)
 
     def end_gap(delta):

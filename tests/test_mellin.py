@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conelab import (ConeGrid, FieldState, constant_state, cutoff, make_circle,
-                     mellin_norm, membership_test, monomial_state)
+                     mellin_norm, membership_test, monomial_state, transform_plan)
 from conelab.mellin import _trapezoid, mellin_norms
 from conftest import lil_derivative_matrix
 
@@ -72,7 +72,7 @@ def test_field_state_shape_and_finiteness(grid8):
 
 def test_constant_state_physical_value(grid8):
     u = constant_state(grid8, 2.5)
-    vals = u.physical_values()
+    vals = transform_plan(grid8).to_physical(u.coeffs)
     assert np.max(np.abs(vals - 2.5)) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_norms_and_sup_norm_peak_allocation():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: mellin_norms(u, 2, -0.5)) <= 6.0
+    assert peak(lambda: mellin_norms(u, 2, -0.5, 2.0)) <= 6.0
 
 
 def test_monomial_state_profile(grid8):
@@ -107,10 +107,11 @@ def test_monomial_state_profile(grid8):
 def test_norm_homogeneity_and_monotonicity(grid8, spec8):
     rng = np.random.default_rng(5)
     co = rng.normal(size=(grid8.n_nodes, grid8.n_channels)) * grid8.x[:, None]
-    u = FieldState(grid8, co, gamma=spec8.gamma)
-    n0 = mellin_norm(u, 0)
-    assert mellin_norm(u.like(3.0 * co), 0) == pytest.approx(3.0 * n0, rel=1e-12)
-    norms = [mellin_norm(u, k) for k in range(5)]
+    u = FieldState(grid8, co)
+    n0 = mellin_norm(u, 0, spec8.gamma, spec8.p)
+    assert (mellin_norm(u.like(3.0 * co), 0, spec8.gamma, spec8.p)
+            == pytest.approx(3.0 * n0, rel=1e-12))
+    norms = [mellin_norm(u, k, spec8.gamma, spec8.p) for k in range(5)]
     assert all(norms[k + 1] >= norms[k] for k in range(4))
 
 
@@ -126,14 +127,14 @@ def test_norm_against_independent_quadrature(cs8):
     om = grid.omega
     tip = _trapezoid(np.exp(-2.0 * sigma * grid.t) * (om * prof) ** 2, grid.t)
     outer = _trapezoid(np.exp(-(n + 1) * grid.t) * ((1 - om) * prof) ** 2, grid.t)
-    assert mellin_norm(u, 0, gamma) == pytest.approx(np.sqrt(tip + outer), rel=1e-12)
+    assert mellin_norm(u, 0, gamma, 2.0) == pytest.approx(np.sqrt(tip + outer), rel=1e-12)
 
 
 def test_norm_p_quadrature_matches_p2(cs8):
     grid = ConeGrid(cs8, 3.0, 100, j_max=3)
     rng = np.random.default_rng(9)
     co = rng.normal(size=(grid.n_nodes, grid.n_channels)) * grid.x[:, None]
-    u = FieldState(grid, co, gamma=-0.5)
+    u = FieldState(grid, co)
     # p = 2 through coefficients equals p = 2 through quadrature
     direct = mellin_norm(u, 1, -0.5, 2.0)
     via_quad = mellin_norm(u, 1, -0.5, 2.0 + 1e-14)
@@ -156,15 +157,25 @@ def test_membership_matches_norm_growth(cs8):
         norms = []
         for tm in (5.0, 10.0, 15.0):
             grid = ConeGrid(cs8, tm, int(round(tm / 0.01)), j_max=1)
-            norms.append(mellin_norm(monomial_state(grid, a), 0, gamma))
+            norms.append(mellin_norm(monomial_state(grid, a), 0, gamma, 2.0))
         growing = norms[2] / norms[1] > 1.3
         assert membership_test(a, 0, gamma, 2.0, 1) == (not growing)
         assert member == (not growing)
 
 
-def test_norm_requires_weight(grid8):
+def test_norm_rejects_order_and_index_out_of_range(grid8):
     u = FieldState.zeros(grid8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="derivative order"):
+        mellin_norm(u, 5, -0.5, 2.0)
+    with pytest.raises(ValueError, match="integrability index"):
+        mellin_norm(u, 0, -0.5, 0.5)
+
+
+def test_state_carries_no_weight(grid8):
+    # the weight and the index are the run's, passed to every norm
+    u = constant_state(grid8, 1.0)
+    assert vars(u).keys() == {"grid", "coeffs", "time"}
+    with pytest.raises(TypeError):
         mellin_norm(u, 0)
-    with pytest.raises(ValueError):
-        mellin_norm(u, 5, -0.5)
+    with pytest.raises(TypeError):
+        FieldState(grid8, u.coeffs, gamma=-0.5)

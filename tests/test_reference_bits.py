@@ -405,7 +405,7 @@ def test_step_matches_full_height_reference(request, grid_name, spec_name):
     grid, spec = request.getfixturevalue(grid_name), request.getfixturevalue(spec_name)
     st = Stepper(spec, grid, 1e-3, "cahn-hilliard")
     u = initial_state(Config(j_max=grid.j_max, t_max=3.0, delta_t=0.02,
-                             ic_amplitude=0.5), grid, spec)
+                             ic_amplitude=0.5), grid)
     w = u.coeffs
     lw = st.laplace(w)
     base = -(st.laplace(lw) + lw)
@@ -424,8 +424,8 @@ def test_run_rows_match_diagnostics_functionals(grid8, spec8, equation):
     assert len(snaps) == len(rows) == cfg.n_steps + 1
     for snap, row in zip(snaps, rows):
         want = {"energy": energy_functional(snap),
-                "norm0": mellin_norm(snap, 0, spec8.gamma, snap.p),
-                "norm2": mellin_norm(snap, 2, spec8.gamma, snap.p)}
+                "norm0": mellin_norm(snap, 0, spec8.gamma, spec8.p),
+                "norm2": mellin_norm(snap, 2, spec8.gamma, spec8.p)}
         for key, value in want.items():
             assert float(row[key]).hex() == float(value).hex(), (row["step"], key)
 
@@ -598,7 +598,7 @@ def test_relaxational_run_matches_fresh_double_well_steps(spec8, tall):
                  equation="allen-cahn")
     snaps, _ = run(cfg, context=(spec, grid))
     stepper = Stepper(spec, grid, cfg.dt, "allen-cahn")
-    u = initial_state(cfg, grid, spec)
+    u = initial_state(cfg, grid)
     want = [u]
     for step in range(1, cfg.n_steps + 1):
         u = stepper.step(u, f=double_well)
@@ -623,15 +623,15 @@ def test_grid_with_plan_and_stepper_dies_without_cycle_collector():
         gc.enable()
 
 
-def _per_value_snapshot_text(snap):
+def _per_value_snapshot_text(snap, spec):
     grid = snap.grid
     meta = {
         "time": snap.time,
         "t_max": grid.t_max,
         "n_radial": grid.n_radial,
         "j_max": grid.j_max,
-        "gamma": snap.gamma,
-        "p": snap.p,
+        "gamma": spec.gamma,
+        "p": spec.p,
         "channels": [[j, k] for j, k in grid.channels],
     }
     lines = ["# " + _ser(meta), "t_node,mode,branch,coefficient"]
@@ -645,15 +645,15 @@ def _per_value_snapshot_text(snap):
 def test_snapshot_text_matches_per_value_format(grid8, spec8):
     cfg = Config(j_max=8, t_max=3.0, delta_t=0.02, T=0.01, snapshot_every=5)
     snaps, _ = run(cfg, context=(spec8, grid8), diagnostics=False)
-    odd = FieldState.zeros(grid8, gamma=None, p=2.0)
+    odd = FieldState.zeros(grid8)
     special = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, np.inf, np.nan, -np.inf]
     odd.coeffs.ravel()[:] = np.resize(special, odd.coeffs.size)
     odd.coeffs[5] *= -1.0
     odd.time = 0.1
-    assert "nan" in _per_value_snapshot_text(odd)
+    assert "nan" in _per_value_snapshot_text(odd, spec8)
     for snap in snaps + [odd]:
-        got = _snapshot_text(snap).encode()
-        assert got == _per_value_snapshot_text(snap).encode()
+        got = _snapshot_text(snap, spec8).encode()
+        assert got == _per_value_snapshot_text(snap, spec8).encode()
 
 
 def _fftpack_transforms(grid, m):
